@@ -2,8 +2,8 @@
 
 Every subcommand is a reproducible experiment: identical arguments and
 seed produce identical output (the manifest's duration field is the only
-exception, and worker count never affects results). JSON goes to stdout
-with sorted keys; bulk data goes to CSV files under --out.
+exception; --threads is accepted and never affects results). JSON goes to
+stdout with sorted keys; bulk data goes to CSV files under --out.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .accountant import (
     default_orders,
     dense_orders,
 )
-from .flow import FlowConfig, run_flow
+from .flow import FlowConfig, FlowDiverged, run_flow
 from .measures import DataError, load_csv, normalize_for_privacy, save_csv
 from .measures import EmpiricalMeasure
 from .randomness import PURPOSE_DATA, derive_seed, substream
@@ -35,6 +35,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
+EXIT_DIVERGED = 5  # flow loss blew up; trace.csv holds the partial trace
 
 
 def _parse_seed(text: str) -> int:
@@ -112,9 +113,9 @@ def cmd_compute(args) -> int:
         b = normalize_for_privacy(b, mode=mode, clip=radius)
     cfg = SwdConfig(k=args.k, q=args.q, seed=args.seed, sigma=args.sigma, noise_sides=args.sides)
     if args.sigma > 0:
-        result = dp_swd(a, b, cfg, threads=args.threads)
+        result = dp_swd(a, b, cfg)
     else:
-        result = swd(a, b, cfg, threads=args.threads)
+        result = swd(a, b, cfg)
     params = {
         "a": str(args.a), "b": str(args.b), "k": args.k, "q": args.q,
         "sigma": args.sigma, "sides": args.sides,
@@ -175,9 +176,9 @@ def cmd_toy(args) -> int:
         for ci, c in enumerate(grid):
             target = EmpiricalMeasure(base_target + c)
             cfg0 = SwdConfig(k=args.k, q=2.0, seed=rep_seed, sigma=0.0)
-            values_plain[r, ci] = swd(source, target, cfg0, threads=args.threads).value
+            values_plain[r, ci] = swd(source, target, cfg0).value
             cfgs = SwdConfig(k=args.k, q=2.0, seed=rep_seed, sigma=args.sigma)
-            values_noised[r, ci] = smoothed_swd(source, target, cfgs, threads=args.threads).value
+            values_noised[r, ci] = smoothed_swd(source, target, cfgs).value
     ddof = 1 if args.repeats > 1 else 0
     rows = []
     for ci, c in enumerate(grid):
@@ -245,6 +246,16 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _write_trace(out: Path, trace) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    _write_csv(
+        out / "trace.csv",
+        ["iteration", "loss", "grad_norm"],
+        zip((int(i) for i in trace.iterations), (float(v) for v in trace.losses),
+            (float(g) for g in trace.grad_norms)),
+    )
+
+
 def cmd_flow(args) -> int:
     started = time.perf_counter()
     source = load_csv(args.source, has_header=args.header)
@@ -267,15 +278,13 @@ def cmd_flow(args) -> int:
         delta_split=args.delta_split,
         bound_kind=args.bound,
     )
-    trace = run_flow(source, target, cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "trace.csv",
-        ["iteration", "loss", "grad_norm"],
-        zip((int(i) for i in trace.iterations), (float(v) for v in trace.losses),
-            (float(g) for g in trace.grad_norms)),
-    )
+    try:
+        trace = run_flow(source, target, cfg)
+    except FlowDiverged as exc:
+        _write_trace(out, exc.trace)
+        raise
+    _write_trace(out, trace)
     save_csv(EmpiricalMeasure(trace.final_points), out / "particles.csv")
     params = {
         "source": str(args.source), "target": str(args.target),
@@ -307,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dpswd {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_parse_seed, default=0, help="decimal or 0x-hex master seed")
-    common.add_argument("--threads", type=int, default=1, help="worker cap; never changes results")
+    common.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; never changes results"
+    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("compute", parents=[common], help="SWD / DP-SWD between two CSV datasets")
@@ -388,6 +399,9 @@ def main(argv=None) -> int:
         args.grid_raw = f"{g[0]}:{g[-1]}:{g[1] - g[0] if len(g) > 1 else 0}"
     try:
         return args.func(args)
+    except FlowDiverged as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except InfeasibleBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

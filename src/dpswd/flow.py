@@ -2,10 +2,12 @@
 
 A desk-scale analog of the distribution-matching objectives: the
 "generator" is the particle cloud itself, updated by gradient descent on
-the (optionally noised) sliced distance against a fixed target. Fresh
-directions (and fresh noise when sigma > 0) are drawn each step, and the
-privacy cost of the whole schedule is accounted once up front, with the
-sensitivity tail charged at every fresh direction draw.
+the (optionally noised) sliced distance against a fixed target. Each step
+makes one release of the target's noised projections, and the loss and the
+gradient are both computed from it. Fresh noise (when sigma > 0) is drawn
+every step under either direction policy; fresh directions only under the
+"fresh" policy. The privacy cost of the whole schedule is accounted once up
+front, with the sensitivity tail charged at every fresh direction draw.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .accountant import DIRECTION_POLICIES, PrivacyBudget, account, charged_boun
 from .measures import EmpiricalMeasure, check_privacy_normalized
 from .randomness import PURPOSE_DATA, Seed, derive_seed, substream
 from .sensitivity import SensitivityBound
-from .sliced_distance import SwdConfig, swd_gradient_source, smoothed_swd
+from .sliced_distance import SwdConfig, value_and_gradient
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -99,11 +101,12 @@ def run_flow(
 ) -> FlowTrace:
     """Gradient descent on particle positions minimizing the sliced loss.
 
-    Each step draws directions and noise from a per-step seed, evaluates a
-    consistent (loss, gradient) pair, and moves the particles. The target
-    enters every step only through its noised projections. When sigma > 0
-    the target must satisfy the privacy normalization precondition (all row
-    norms <= 1/2) unless enforce_privacy is disabled for exploratory runs.
+    Each step draws noise from a per-step seed (directions too, unless the
+    policy is "fixed"), evaluates a consistent (loss, gradient) pair from one
+    release, and moves the particles. The target enters every step only
+    through its noised projections. When sigma > 0 the target must satisfy
+    the privacy normalization precondition (all row norms <= 1/2) unless
+    enforce_privacy is disabled for exploratory runs.
     """
     if source_init.dim != target_private.dim:
         raise ValueError(f"dimension mismatch: {source_init.dim} vs {target_private.dim}")
@@ -133,9 +136,10 @@ def run_flow(
         gnorms.append(gnorm)
 
     for step in range(cfg.iterations):
-        step_seed = cfg.seed if cfg.seed_policy == "fixed" else derive_seed(cfg.seed, step)
+        step_seed = derive_seed(cfg.seed, step)
         step_cfg = SwdConfig(
-            k=cfg.k, q=2.0, seed=step_seed, sigma=cfg.sigma, noise_sides=cfg.noise_sides
+            k=cfg.k, q=2.0, sigma=cfg.sigma, noise_sides=cfg.noise_sides, noise_seed=step_seed,
+            seed=cfg.seed if cfg.seed_policy == "fixed" else step_seed,
         )
         source = EmpiricalMeasure(points)
         if cfg.batch_size is None or cfg.batch_size == target_private.n:
@@ -145,8 +149,7 @@ def run_flow(
                 target_private.n, size=cfg.batch_size, replace=False
             )
             target = EmpiricalMeasure(target_private.points[np.sort(picks)])
-        loss = smoothed_swd(source, target, step_cfg).value
-        grad = swd_gradient_source(source, target, step_cfg)
+        loss, grad = value_and_gradient(source, target, step_cfg)
         gnorm = float(np.linalg.norm(grad))
         if step % cfg.log_every == 0 or step == cfg.iterations - 1:
             log(step, loss, gnorm)

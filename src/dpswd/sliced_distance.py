@@ -6,12 +6,16 @@ adds i.i.d. N(0, sigma^2) noise to every projected coordinate before any
 distance computation; the noised projections are the only values derived
 from the private data that cross the privacy boundary (everything after
 is post-processing).
+
+Each call makes that release once: the directions are drawn once, each
+side is projected once into a (k, n) layout (one row per direction) and
+noised row by row, and the rows are sorted. The value, the source gradient
+and one particle-flow step are all computed from that single release.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,20 +27,22 @@ from .randomness import (
     sample_gaussian_matrix,
     sample_sphere,
 )
-from .wasserstein1d import sorted_profile, wasserstein_1d_q
-
-_CHUNK = 512  # fixed column chunk so results never depend on worker count
 
 
 @dataclass(frozen=True)
 class SwdConfig:
-    """Estimator configuration: projection count, order, seed, noise level."""
+    """Estimator configuration: projection count, order, seeds, noise level.
+
+    Directions are drawn from ``seed``; noise is drawn from ``noise_seed``,
+    which defaults to ``seed``.
+    """
 
     k: int = 100
     q: float = 2.0
     seed: Seed = 0
     sigma: float = 0.0
     noise_sides: str = "both"
+    noise_seed: Seed | None = None
 
     def __post_init__(self):
         if self.k < 1:
@@ -62,103 +68,105 @@ class SwdResult:
         return self.value ** (1.0 / self.config.q)
 
 
-def _project(measure: EmpiricalMeasure, directions: np.ndarray) -> np.ndarray:
-    return measure.points @ directions
+def _sort_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row sorted ascending, with its stable argsort.
+
+    A row of distinct values has one sorting permutation, which the faster
+    unstable sort finds; rows with ties (or NaNs, which sort last) are
+    re-sorted stably, so the order always equals the stable one.
+    """
+    order = np.argsort(x, axis=1)
+    rows = np.take_along_axis(x, order, axis=1)
+    redo = (rows[:, 1:] == rows[:, :-1]).any(axis=1) | np.isnan(rows[:, -1])
+    if redo.any():
+        order[redo] = np.argsort(x[redo], axis=1, kind="stable")
+    return rows, order
 
 
-def _noised_projections(
-    measure: EmpiricalMeasure, directions: np.ndarray, sigma: float, seed: Seed, purpose: int
-) -> np.ndarray:
-    """Release one side of the mechanism: X @ U plus per-entry Gaussian noise.
+def _release(a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig) -> tuple:
+    """Project each side once onto fresh directions, add noise, sort each row.
+
+    Returns (directions (d, k), source rows (k, n), their stable order,
+    source weights, target rows (k, m), target weights). Rows ascend; a
+    side's weights are None when uniform, else permuted into row order.
 
     For the private side this is the single point where raw coordinates are
-    read; only the returned array flows into distance computations.
-    """
-    proj = _project(measure, directions)
-    if sigma > 0:
-        proj = proj + sample_gaussian_matrix(measure.n, directions.shape[1], sigma, seed, purpose)
-    return proj
-
-
-def _per_projection_costs(
-    proj_a: np.ndarray,
-    weights_a: np.ndarray,
-    proj_b: np.ndarray,
-    weights_b: np.ndarray,
-    q: float,
-    threads: int = 1,
-) -> np.ndarray:
-    """Exact 1-D W_q^q per projection column, independent of thread count."""
-    n, k = proj_a.shape
-    m = proj_b.shape[0]
-    uniform = (
-        n == m
-        and np.abs(weights_a - 1.0 / n).max() <= 1e-12
-        and np.abs(weights_b - 1.0 / m).max() <= 1e-12
-    )
-    if uniform:
-        diffs = np.abs(np.sort(proj_a, axis=0) - np.sort(proj_b, axis=0))
-        if q == 2.0:
-            costs = np.mean(diffs * diffs, axis=0)
-        elif q == 1.0:
-            costs = np.mean(diffs, axis=0)
-        else:
-            costs = np.mean(diffs**q, axis=0)
-        return costs
-
-    out = np.empty(k)
-
-    def work(chunk_start: int) -> None:
-        stop = min(chunk_start + _CHUNK, k)
-        for j in range(chunk_start, stop):
-            out[j] = wasserstein_1d_q(
-                sorted_profile(proj_a[:, j], weights_a),
-                sorted_profile(proj_b[:, j], weights_b),
-                q,
-            )
-
-    starts = range(0, k, _CHUNK)
-    if threads > 1 and k > _CHUNK:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, starts))
-    else:
-        for s in starts:
-            work(s)
-    return out
-
-
-def smoothed_swd(
-    a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig, threads: int = 1
-) -> SwdResult:
-    """Sliced W_q^q between Gaussian-noised projections (no privacy preconditions).
-
-    With sigma=0 this is the plain Monte-Carlo SWD estimator. The same seed
-    always reproduces the same directions and noise; the reduction over
-    projections is a fixed-order mean, so the value is independent of
-    ``threads``.
+    read; only the noised rows flow into distance computations. Noise row j
+    depends only on (noise seed, purpose, j, n), so it is prefix-stable in k.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     directions = sample_sphere(a.dim, cfg.k, cfg.seed)
-    if cfg.noise_sides == "both":
-        proj_a = _noised_projections(a, directions, cfg.sigma, cfg.seed, PURPOSE_NOISE_SOURCE)
+    noise_seed = cfg.seed if cfg.noise_seed is None else cfg.noise_seed
+    proj_a = directions.T @ a.points.T
+    proj_b = directions.T @ b.points.T
+    if cfg.sigma > 0:
+        if cfg.noise_sides == "both":
+            proj_a += sample_gaussian_matrix(cfg.k, a.n, cfg.sigma, noise_seed, PURPOSE_NOISE_SOURCE)
+        proj_b += sample_gaussian_matrix(cfg.k, b.n, cfg.sigma, noise_seed, PURPOSE_NOISE_TARGET)
+    source, order_a = _sort_rows(proj_a)
+    weights_a = None if a.is_uniform() else a.weights[order_a]
+    if b.is_uniform():
+        proj_b.sort(axis=1)
+        weights_b = None
     else:
-        proj_a = _project(a, directions)
-    proj_b = _noised_projections(b, directions, cfg.sigma, cfg.seed, PURPOSE_NOISE_TARGET)
-    costs = _per_projection_costs(proj_a, a.weights, proj_b, b.weights, cfg.q, threads)
+        proj_b, order_b = _sort_rows(proj_b)
+        weights_b = b.weights[order_b]
+    return directions, source, order_a, weights_a, proj_b, weights_b
+
+
+def _per_projection_costs(rows_a, weights_a, rows_b, weights_b, q: float) -> np.ndarray:
+    """Exact 1-D W_q^q for every row pair of two (k, n) and (k, m) sorted arrays.
+
+    Both inverse CDFs are constant between the merged breakpoints of the two
+    cumulative-weight ladders; each such segment contributes its length
+    times |x - y|^q. Weights of None mean uniform, whose ladders i/n and
+    j/m are shared by every row and merged once.
+    """
+    n, m = rows_a.shape[1], rows_b.shape[1]
+    if weights_a is None and weights_b is None:
+        ca, cb = np.arange(1, n + 1) / n, np.arange(1, m + 1) / m
+        z = np.union1d(ca, cb)  # i/n == j/m exactly when the fractions are equal
+        seg = np.diff(z, prepend=0.0)
+        gaps = rows_a[:, np.searchsorted(ca, z)] - rows_b[:, np.searchsorted(cb, z)]
+    else:
+        k = rows_a.shape[0]
+        ca = np.cumsum(np.full((k, n), 1.0 / n) if weights_a is None else weights_a, axis=1)
+        cb = np.cumsum(np.full((k, m), 1.0 / m) if weights_b is None else weights_b, axis=1)
+        # per-row ladders, each ending at exactly 1; zero weights add no step
+        merged = np.concatenate([ca / ca[:, -1:], cb / cb[:, -1:]], axis=1)
+        order = np.argsort(merged, axis=1, kind="stable")
+        seg = np.diff(np.take_along_axis(merged, order, axis=1), axis=1, prepend=0.0)
+        # on the segment ending at a breakpoint, each side sits at the count of
+        # its own breakpoints merged before it; zero-length segments may point
+        # one past the end and are clipped
+        from_a = order < n
+        ia = np.cumsum(from_a, axis=1) - from_a
+        ib = np.arange(n + m) - ia
+        gaps = (np.take_along_axis(rows_a, np.minimum(ia, n - 1), axis=1)
+                - np.take_along_axis(rows_b, np.minimum(ib, m - 1), axis=1))
+    return np.sum(np.abs(gaps) ** q * seg, axis=1)
+
+
+def smoothed_swd(a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig) -> SwdResult:
+    """Sliced W_q^q between Gaussian-noised projections (no privacy preconditions).
+
+    With sigma=0 this is the plain Monte-Carlo SWD estimator. The same seed
+    always reproduces the same directions and noise.
+    """
+    _, source, _, weights_a, target, weights_b = _release(a, b, cfg)
+    costs = _per_projection_costs(source, weights_a, target, weights_b, cfg.q)
     return SwdResult(value=float(np.mean(costs)), per_projection=costs, config=cfg)
 
 
-def swd(a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig, threads: int = 1) -> SwdResult:
+def swd(a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig) -> SwdResult:
     """Plain sliced Wasserstein estimator; requires a noise-free config."""
     if cfg.sigma != 0.0:
         raise ValueError("swd expects sigma=0; use dp_swd or smoothed_swd for sigma>0")
-    return smoothed_swd(a, b, cfg, threads)
+    return smoothed_swd(a, b, cfg)
 
 
-def dp_swd(
-    a_public: EmpiricalMeasure, b_private: EmpiricalMeasure, cfg: SwdConfig, threads: int = 1
-) -> SwdResult:
+def dp_swd(a_public: EmpiricalMeasure, b_private: EmpiricalMeasure, cfg: SwdConfig) -> SwdResult:
     """Differentially private sliced distance on privacy-normalized inputs.
 
     Both sides must satisfy the unit-sensitivity precondition (all row
@@ -170,54 +178,41 @@ def dp_swd(
         raise ValueError("dp_swd requires sigma > 0")
     check_privacy_normalized(a_public)
     check_privacy_normalized(b_private)
-    return smoothed_swd(a_public, b_private, cfg, threads)
-
-
-def swd_gradient_source(
-    a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig, threads: int = 1
-) -> np.ndarray:
-    """Gradient of the fixed-projection q=2 estimator w.r.t. the source points.
-
-    For each projection the optimal coupling sorts both samples; the
-    estimator is then a mean of squared differences, whose derivative in
-    source point x_i is (2/(k n)) * sum_j u_j (a_ij - b_matched). Directions
-    and any noise are regenerated from cfg.seed, so the gradient is exactly
-    consistent with the value returned by swd / dp_swd / smoothed_swd at the
-    same config. At sorting ties this is a subgradient (stable-sort pairing).
-    """
-    if cfg.q != 2.0:
-        raise ValueError("gradient is defined for q=2 only")
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    n = a.n
-    if b.n != n:
-        raise ValueError(f"equal sample counts required, got {n} and {b.n}")
-    if not (a.is_uniform() and b.is_uniform()):
-        raise ValueError("uniform weights required for the source gradient")
-    directions = sample_sphere(a.dim, cfg.k, cfg.seed)
-    if cfg.noise_sides == "both":
-        proj_a = _noised_projections(a, directions, cfg.sigma, cfg.seed, PURPOSE_NOISE_SOURCE)
-    else:
-        proj_a = _project(a, directions)
-    proj_b = _noised_projections(b, directions, cfg.sigma, cfg.seed, PURPOSE_NOISE_TARGET)
-
-    order_a = np.argsort(proj_a, axis=0, kind="stable")
-    order_b = np.argsort(proj_b, axis=0, kind="stable")
-    diffs = np.take_along_axis(proj_a, order_a, axis=0) - np.take_along_axis(proj_b, order_b, axis=0)
-    # scatter sorted differences back to source-row positions, then one matmul
-    by_row = np.empty_like(diffs)
-    np.put_along_axis(by_row, order_a, diffs, axis=0)
-    return (2.0 / (cfg.k * n)) * by_row @ directions.T
+    return smoothed_swd(a_public, b_private, cfg)
 
 
 def value_and_gradient(
-    a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig, threads: int = 1
+    a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig
 ) -> tuple[float, np.ndarray]:
-    """Consistent (loss, gradient) pair at one shared noise/direction draw."""
-    value = smoothed_swd(a, b, cfg, threads).value
-    grad = swd_gradient_source(a, b, cfg, threads)
-    return value, grad
+    """Consistent (loss, gradient) pair, both post-processing of one release.
+
+    The loss is smoothed_swd's value at the same config. The gradient is
+    that of the fixed-projection q=2 estimator w.r.t. the source points:
+    for each projection the optimal coupling sorts both samples, so the
+    estimator is a mean of squared differences, whose derivative in source
+    point x_i is (2/(k n)) * sum_j u_j (a_ij - b_matched). At sorting ties
+    this is a subgradient (stable-sort pairing).
+    """
+    if cfg.q != 2.0:
+        raise ValueError("gradient is defined for q=2 only")
+    if b.n != a.n:
+        raise ValueError(f"equal sample counts required, got {a.n} and {b.n}")
+    if not (a.is_uniform() and b.is_uniform()):
+        raise ValueError("uniform weights required for the source gradient")
+    directions, source, order, _, target, _ = _release(a, b, cfg)
+    diffs = source - target
+    # scatter sorted differences back to source-row positions, then one matmul
+    by_row = np.empty_like(diffs)
+    np.put_along_axis(by_row, order, diffs, axis=1)
+    grad = (2.0 / (cfg.k * a.n)) * by_row.T @ directions.T
+    return float(np.mean(_per_projection_costs(source, None, target, None, cfg.q))), grad
 
 
-def with_seed(cfg: SwdConfig, seed: Seed) -> SwdConfig:
-    return replace(cfg, seed=seed)
+def swd_gradient_source(a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig) -> np.ndarray:
+    """Source gradient of the q=2 estimator; see value_and_gradient.
+
+    Directions and any noise are regenerated from the config's seeds, so the
+    gradient is exactly consistent with the value returned by swd / dp_swd /
+    smoothed_swd at the same config.
+    """
+    return value_and_gradient(a, b, cfg)[1]

@@ -239,6 +239,22 @@ class TestFlowCmd:
         assert r.returncode == 2
         assert "delta_split must be > 0" in r.stderr
 
+    def test_diverging_flow_exits_cleanly_with_partial_trace(self, data_dir, tmp_path):
+        out = tmp_path / "diverged"
+        r = run_cli("flow", "--source", str(data_dir / "src2d.csv"),
+                    "--target", str(data_dir / "tgt2d.csv"),
+                    "--iters", "200", "--lr", "500", "--k", "8", "--seed", "4",
+                    "--log-every", "1", "--out", str(out))
+        assert r.returncode == 5
+        assert r.stdout == ""
+        assert "exceeded" in r.stderr and "reduce the learning rate" in r.stderr
+        assert "Traceback" not in r.stderr
+        trace = (out / "trace.csv").read_text().splitlines()
+        assert trace[0] == "iteration,loss,grad_norm"
+        assert [int(line.split(",")[0]) for line in trace[1:]] == list(range(len(trace) - 1))
+        assert len(trace) - 1 < 200
+        assert not (out / "particles.csv").exists()
+
     def test_round_trip_with_calibrate(self, data_dir, tmp_path):
         # sigma calibrated for a schedule, then a flow run on that schedule
         # must report the same budget back

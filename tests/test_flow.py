@@ -6,6 +6,7 @@ from dpswd.accountant import PrivacyBudget, account
 from dpswd.flow import FlowConfig, FlowDiverged, run_flow
 from dpswd.measures import DataError, EmpiricalMeasure
 from dpswd.sensitivity import bernstein_bound
+from dpswd import sliced_distance as sd
 from dpswd.sliced_distance import SwdConfig, swd
 
 
@@ -111,15 +112,15 @@ class TestRunFlow:
         assert exc_info.value.trace.losses.size >= 1
 
     def test_target_read_only_for_projection_release(self):
-        # two projection releases per step (loss and gradient share the same
-        # noised draw), plus one read by the normalization guard
+        # one projection release per step (loss and gradient are both
+        # computed from it), plus one read by the normalization guard
         inner = normalize_for_privacy(cloud(12, 2, 15))
         src = normalize_for_privacy(cloud(12, 2, 16, shift=1.0))
         tgt = CountingTarget(inner)
         steps = 4
         cfg = FlowConfig(iterations=steps, learning_rate=0.1, k=8, sigma=0.5, seed=17)
         run_flow(src, tgt, cfg)
-        assert tgt.point_reads == 2 * steps + 1
+        assert tgt.point_reads == steps + 1
 
     def test_reported_privacy_matches_accountant(self):
         src = normalize_for_privacy(cloud(40, 3, 18, shift=1.0))
@@ -168,6 +169,36 @@ class TestRunFlow:
         assert (trace.eps, trace.best_order) == account(1.5, budget, bound, directions="fixed")
         assert trace.sensitivity == bound
         assert trace.eps < account(1.5, budget, bound)[0]
+
+    def test_fixed_directions_draw_fresh_noise(self, monkeypatch):
+        # a fixed policy reuses the directions, never the noise: reused noise
+        # would cancel in the difference of two mini-batch releases
+        drawn = {"directions": [], "noise": []}
+
+        def recorder(fn, key):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                drawn[key].append(out)
+                return out
+            return wrapped
+
+        monkeypatch.setattr(sd, "sample_sphere", recorder(sd.sample_sphere, "directions"))
+        monkeypatch.setattr(
+            sd, "sample_gaussian_matrix", recorder(sd.sample_gaussian_matrix, "noise")
+        )
+        src = normalize_for_privacy(cloud(16, 3, 30, shift=1.0))
+        tgt = normalize_for_privacy(cloud(64, 3, 31))
+        cfg = FlowConfig(
+            iterations=2, learning_rate=0.1, k=8, sigma=1.0, seed=32,
+            seed_policy="fixed", batch_size=16,
+        )
+        run_flow(src, tgt, cfg)
+        (u0, u1), noise = drawn["directions"], drawn["noise"]
+        assert np.array_equal(u0, u1)
+        assert len(noise) == 4  # source and target noise at each of two steps
+        for first, second in zip(noise[:2], noise[2:]):
+            assert first.shape == second.shape
+            assert not np.any(first == second)
 
     def test_tail_bound_needs_delta_share(self):
         src = normalize_for_privacy(cloud(10, 2, 18, shift=1.0))

@@ -6,12 +6,15 @@ from dpswd.measures import DataError, EmpiricalMeasure
 from dpswd.randomness import sample_sphere
 from dpswd.sliced_distance import (
     SwdConfig,
+    _per_projection_costs,
+    _sort_rows,
     dp_swd,
     smoothed_swd,
     swd,
     swd_gradient_source,
     value_and_gradient,
 )
+from dpswd.wasserstein1d import sorted_profile, wasserstein_1d_q
 
 V5 = 2 * (5 - 1) / (25 * (5 + 2))  # variance of a squared projection at d=5
 
@@ -78,14 +81,21 @@ class TestSwd:
         assert res.per_projection.shape == (128,)
         assert (res.per_projection >= 0).all()
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic_on_weighted_path(self):
         a, b = gaussian_cloud(10, 3, 8), gaussian_cloud(10, 3, 9)
         w = np.linspace(1, 2, 10)
-        aw = from_points(a.points, w)  # weighted path exercises the chunked loop
+        aw = from_points(a.points, w)  # weighted path merges per-row ladders
         cfg = SwdConfig(k=700, q=2, seed=10)
-        r1 = swd(aw, b, cfg, threads=1)
-        r2 = swd(aw, b, cfg, threads=8)
+        r1 = swd(aw, b, cfg)
+        r2 = swd(aw, b, cfg)
         assert np.array_equal(r1.per_projection, r2.per_projection)
+
+    def test_noised_projections_prefix_stable_in_k(self):
+        a, b = gaussian_cloud(12, 4, 16), gaussian_cloud(9, 4, 17)
+        for sides in ("both", "target-only"):
+            short = smoothed_swd(a, b, SwdConfig(k=24, seed=18, sigma=0.7, noise_sides=sides))
+            long = smoothed_swd(a, b, SwdConfig(k=48, seed=18, sigma=0.7, noise_sides=sides))
+            assert np.array_equal(short.per_projection, long.per_projection[:24])
 
     def test_weighted_matches_uniform_on_duplicated_support(self):
         pts = np.array([[0.0, 1.0], [2.0, -1.0]])
@@ -118,6 +128,52 @@ class TestSwd:
         v2 = np.array([swd(x, y, SwdConfig(k=128, q=2, seed=s)).value for s in range(100)])
         ratio = v1.var(ddof=1) / v2.var(ddof=1)
         assert 2.0 * 0.8 <= ratio <= 2.0 * 1.2
+
+
+class TestPerProjectionCosts:
+    """The vectorized ladder merge against the per-column 1-D walk."""
+
+    @staticmethod
+    def sorted_side(rows, weights):
+        order = np.argsort(rows, axis=1, kind="stable")
+        sorted_rows = np.take_along_axis(rows, order, axis=1)
+        return sorted_rows, None if weights is None else weights[order]
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.5])
+    @pytest.mark.parametrize(
+        "n, m, weighted_a, weighted_b",
+        [(7, 7, False, False), (7, 5, False, False), (5, 12, False, False),
+         (7, 5, True, False), (6, 9, False, True), (8, 8, True, True), (3, 11, True, True)],
+    )
+    def test_matches_loop_reference(self, n, m, weighted_a, weighted_b, q):
+        rng = np.random.default_rng(n * 100 + m)
+        k = 40
+        # one decimal makes ties within and across rows common
+        rows_a = np.round(rng.standard_normal((k, n)), 1)
+        rows_b = np.round(rng.standard_normal((k, m)) + 0.3, 1)
+        w_a = rng.uniform(0.1, 1.0, n) if weighted_a else None
+        w_b = rng.uniform(0.1, 1.0, m) if weighted_b else None
+        for w in (w_a, w_b):
+            if w is not None:
+                w[1] = 0.0  # a zero weight must contribute no mass
+        # weights are left unnormalized: like sorted_profile, the costs rescale them
+        got = _per_projection_costs(*self.sorted_side(rows_a, w_a), *self.sorted_side(rows_b, w_b), q)
+        expected = [
+            wasserstein_1d_q(sorted_profile(rows_a[j], w_a), sorted_profile(rows_b[j], w_b), q)
+            for j in range(k)
+        ]
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def test_sort_rows_order_is_the_stable_argsort():
+    rng = np.random.default_rng(3)
+    x = np.round(rng.standard_normal((50, 30)), 1)  # one decimal: ties in most rows
+    x[:10] = rng.standard_normal((10, 30))  # rows of distinct values
+    x[10, [3, 7]] = np.nan
+    rows, order = _sort_rows(x)
+    expected = np.argsort(x, axis=1, kind="stable")
+    assert np.array_equal(order, expected)
+    assert np.array_equal(rows, np.take_along_axis(x, expected, axis=1), equal_nan=True)
 
 
 class TestDpSwd:
