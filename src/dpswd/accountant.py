@@ -8,7 +8,10 @@ eps(alpha) + ln(1/delta)/(alpha - 1) over a grid of orders, and
 calibration inverts that map by bisection on sigma.
 
 Two amplification-by-subsampling upper bounds are implemented, both
-integer-order binomial-expansion forms evaluated in the log domain:
+integer-order binomial expansions over the base curve's integer values
+eps(j) = j w / (2 sigma^2). Each is evaluated for all the integer orders
+a grid needs at once, as one masked (orders x j) array of log-domain
+terms reduced by a row-wise log-sum-exp:
 
 * "subsample" (default): sampling a fixed-size batch without replacement
   under the replace-one neighboring relation. This matches the
@@ -25,6 +28,9 @@ integer-order binomial-expansion forms evaluated in the log domain:
 
       eps_sub(alpha) <= 1/(alpha-1) * log( sum_{i=0..alpha}
           C(alpha,i) (1-g)^{alpha-i} g^i e^{i(i-1) w / (2 sigma^2)} ).
+
+  The exponent i(i-1) w / (2 sigma^2) = (i-1) eps(i) is the Gaussian's,
+  so this form is valid for the Gaussian base curve only.
 
 Both are capped by the unamplified curve (subsampling never hurts), reduce
 to it exactly at g = 1, and evaluate non-integer orders at the next larger
@@ -134,7 +140,6 @@ class MechanismSpec:
 
     sigma: float
     sensitivity_sq: float
-    kind: str = "fixed"
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -159,60 +164,16 @@ def gaussian_rdp(spec: MechanismSpec, orders=None) -> RdpCurve:
     return RdpCurve(o, o * spec.sensitivity_sq / (2.0 * spec.sigma**2))
 
 
-def _log_binom(n: int, i: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-
-
-def _poisson_int_rdp(alpha: int, gamma: float, base_rate: float) -> float:
-    """Integer-order Poisson-subsampled Gaussian bound; base_rate = w/(2 sigma^2)."""
-    log_terms = np.array(
-        [
-            _log_binom(alpha, i)
-            + (i * math.log(gamma) if i else 0.0)
-            + (alpha - i) * math.log1p(-gamma)
-            + i * (i - 1) * base_rate
-            for i in range(alpha + 1)
-        ]
-    )
-    log_a = _logsumexp(log_terms)
-    return max(log_a, 0.0) / (alpha - 1)
-
-
-def _subsample_int_rdp(alpha: int, gamma: float, base_rate: float) -> float:
-    """Integer-order without-replacement bound; base_rate = w/(2 sigma^2)."""
-    e2 = 2.0 * base_rate
-    # j = 2 coefficient: min(4(e^{e2}-1), 2 e^{e2})
-    log_c2 = min(math.log(4.0) + _log_expm1(e2), math.log(2.0) + e2)
-    terms = [_log_binom(alpha, 2) + 2 * math.log(gamma) + log_c2]
-    for j in range(3, alpha + 1):
-        eps_j = j * base_rate
-        terms.append(
-            math.log(2.0) + _log_binom(alpha, j) + j * math.log(gamma) + (j - 1) * eps_j
-        )
-    log_sum = _logsumexp(np.array(terms))
-    log_a = np.logaddexp(0.0, log_sum)
-    return float(log_a) / (alpha - 1)
-
-
-def _log_expm1(x: float) -> float:
-    if x > 30.0:
-        return x
-    return math.log(math.expm1(x))
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    hi = float(np.max(values))
-    return hi + math.log(float(np.sum(np.exp(values - hi))))
-
-
 def subsampled_rdp(
     spec: MechanismSpec, gamma: float, orders=None, method: str = "subsample"
 ) -> RdpCurve:
     """RDP curve of the subsampled mechanism at sampling rate gamma.
 
-    gamma = 1 returns the unamplified curve exactly. Fractional orders are
-    charged the bound at the next larger integer, then capped by the
-    unamplified value at the fractional order itself.
+    gamma = 1 returns the unamplified curve exactly. All the integer
+    orders the grid needs are evaluated at once (see the module
+    docstring); the "poisson" form is valid for the Gaussian only.
+    Fractional orders are charged the bound at the next larger integer,
+    then capped by the unamplified value at the fractional order itself.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
@@ -222,16 +183,28 @@ def subsampled_rdp(
     base = gaussian_rdp(spec, o)
     if gamma == 1.0:
         return base
-    rate = spec.sensitivity_sq / (2.0 * spec.sigma**2)
-    bound = _subsample_int_rdp if method == "subsample" else _poisson_int_rdp
-    cache: dict[int, float] = {}
-    eps = np.empty_like(base.eps_at_order)
-    for idx, alpha in enumerate(o):
-        a_int = max(2, math.ceil(alpha - 1e-12))
-        if a_int not in cache:
-            cache[a_int] = bound(a_int, gamma, rate)
-        eps[idx] = min(cache[a_int], base.eps_at_order[idx])
-    return RdpCurve(o, eps)
+    alphas, row = np.unique(np.maximum(2, np.ceil(o - 1e-12)).astype(int), return_inverse=True)
+    j = np.arange(alphas[-1] + 1)
+    eps_j = j * (spec.sensitivity_sq / (2.0 * spec.sigma**2))
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(j[1:]))])
+    a = alphas[:, None]
+    inside = j <= a
+    log_binom = np.where(
+        inside, log_fact[a] - log_fact[j] - log_fact[np.where(inside, a - j, 0)], -np.inf
+    )
+    if method == "subsample":
+        # j = 0 is the leading 1; j = 1 has no term; j = 2 has the
+        # coefficient min(4(e^{e2}-1), 2 e^{e2}), the second once e2 >= ln 2
+        e2 = eps_j[2]
+        log_c2 = math.log(2.0) + e2 if e2 >= math.log(2.0) else math.log(4.0 * math.expm1(e2))
+        log_coef = np.concatenate([[0.0, -np.inf, log_c2], math.log(2.0) + (j[3:] - 1) * eps_j[3:]])
+    else:
+        log_coef = (a - j) * math.log1p(-gamma) + (j - 1) * eps_j
+    terms = log_binom + j * math.log(gamma) + log_coef
+    hi = terms.max(axis=1)
+    log_a = hi + np.log(np.exp(terms - hi[:, None]).sum(axis=1))
+    eps_int = np.maximum(log_a, 0.0) / (alphas - 1)
+    return RdpCurve(o, np.minimum(eps_int[row], base.eps_at_order))
 
 
 def compose(curve: RdpCurve, steps: int) -> RdpCurve:
@@ -294,9 +267,9 @@ def account(
     if amplification not in AMPLIFICATION_MODES:
         raise ValueError(f"amplification must be one of {AMPLIFICATION_MODES}, got {amplification!r}")
     sensitivity = charged_bound(budget, sensitivity, directions)
-    spec = MechanismSpec(sigma=sigma, sensitivity_sq=sensitivity.w, kind=sensitivity.kind)
-    if amplification == "none" or budget.sampling_rate == 1.0:
-        curve = gaussian_rdp(spec, orders)
+    spec = MechanismSpec(sigma=sigma, sensitivity_sq=sensitivity.w)
+    if amplification == "none":  # no amplification is the bound at gamma = 1
+        curve = subsampled_rdp(spec, 1.0, orders)
     else:
         curve = subsampled_rdp(spec, budget.sampling_rate, orders, method=amplification)
     return rdp_to_dp(compose(curve, budget.steps), budget.delta_conversion)

@@ -28,7 +28,7 @@ from .flow import FlowConfig, FlowDiverged, run_flow
 from .measures import DataError, load_csv, normalize_for_privacy, save_csv
 from .measures import EmpiricalMeasure
 from .randomness import PURPOSE_DATA, derive_seed, substream
-from .sensitivity import bernstein_bound, clt_bound, simulate_sensitivity, summarize_simulation
+from .sensitivity import simulate_sensitivity, summarize_simulation
 from .sliced_distance import SwdConfig, dp_swd, smoothed_swd, swd
 
 EXIT_OK = 0
@@ -36,6 +36,17 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INFEASIBLE = 4
 EXIT_DIVERGED = 5  # flow loss blew up; trace.csv holds the partial trace
+
+# Exit code by exception type, first match wins: a subclass precedes its
+# base (InfeasibleBudgetError and DataError are ValueErrors).
+_EXIT_CODES = (
+    (FlowDiverged, EXIT_DIVERGED),
+    (InfeasibleBudgetError, EXIT_INFEASIBLE),
+    (DataError, EXIT_DATA),
+    (OSError, EXIT_DATA),
+    (argparse.ArgumentTypeError, EXIT_USAGE),
+    (ValueError, EXIT_USAGE),
+)
 
 
 def _parse_seed(text: str) -> int:
@@ -137,12 +148,7 @@ def cmd_sensitivity(args) -> int:
     started = time.perf_counter()
     samples = simulate_sensitivity(args.d, args.k, args.trials, args.seed)
     summary = summarize_simulation(samples, args.k, args.d)
-    requested = {
-        "delta": args.delta,
-        "empirical_quantile": float(np.quantile(samples, 1.0 - args.delta)),
-        "bernstein": bernstein_bound(args.k, args.d, args.delta).w if args.d >= 2 else None,
-        "clt": clt_bound(args.k, args.d, args.delta).w if args.d >= 2 else None,
-    }
+    requested = summarize_simulation(samples, args.k, args.d, deltas=(args.delta,))["levels"][0]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "sensitivity_samples.csv", ["trial", "h"],
@@ -164,7 +170,7 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_toy(args) -> int:
     started = time.perf_counter()
-    grid = args.grid
+    grid = _parse_grid(args.grid)
     values_plain = np.empty((args.repeats, len(grid)))
     values_noised = np.empty((args.repeats, len(grid)))
     for r in range(args.repeats):
@@ -193,7 +199,7 @@ def cmd_toy(args) -> int:
         )
     params = {
         "d": args.d, "n": args.n, "k": args.k, "sigma": args.sigma,
-        "grid": args.grid_raw, "repeats": args.repeats,
+        "grid": args.grid, "repeats": args.repeats,
     }
     if args.out:
         out = Path(args.out)
@@ -345,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--grid", type=_parse_grid, default=_parse_grid("0:1:0.1"), metavar="START:STOP:STEP")
+    p.add_argument("--grid", default="0:1:0.1", metavar="START:STOP:STEP")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--out", default=None, help="optional output directory for toy.csv")
     p.set_defaults(func=cmd_toy)
@@ -390,36 +396,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.normalize_raw = None
-    for raw_flag in ("normalize",):
-        if hasattr(args, raw_flag) and getattr(args, raw_flag) is not None:
-            mode, radius = getattr(args, raw_flag)
-            args.normalize_raw = mode if radius is None else f"{mode}:{radius}"
-    if hasattr(args, "grid"):
-        g = args.grid
-        args.grid_raw = f"{g[0]}:{g[-1]}:{g[1] - g[0] if len(g) > 1 else 0}"
+    if getattr(args, "normalize", None) is not None:
+        mode, radius = args.normalize
+        args.normalize_raw = mode if radius is None else f"{mode}:{radius}"
     try:
         return args.func(args)
-    except FlowDiverged as exc:
+    except tuple(exc_type for exc_type, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except InfeasibleBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for exc_type, code in _EXIT_CODES if isinstance(exc, exc_type))
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 
 from .randomness import PURPOSE_SENSITIVITY, Seed, inverse_normal_cdf, substream
 
-_TRIAL_CHUNK = 1024  # fixed simulation chunking; results independent of workers
+_TRIAL_CHUNK = 1024  # trials per substream; part of the seeded sample's definition
 
 
 @dataclass(frozen=True)

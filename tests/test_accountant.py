@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -92,6 +93,45 @@ class TestSubsampledRdp:
         for bad in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 acc.subsampled_rdp(spec, bad)
+
+
+def subsampled_rdp_oracle(sigma, w, gamma, orders, method):
+    """The module docstring's integer-order bounds, in the linear domain at
+    50 digits with exact binomials, capped by the base curve alpha w/(2 s^2)."""
+    ctx = decimal.Context(prec=50, Emax=10**9, Emin=-(10**9))
+    D = ctx.create_decimal
+    g, rate = D(gamma), ctx.divide(D(w), D(2) * D(sigma) ** 2)
+    # e^{(j-1) eps(j)} = e^{j(j-1) w / (2 sigma^2)} for the Gaussian base curve
+    growth = [ctx.exp(D((j - 1) * j) * rate) for j in range(max(orders) + 1)]
+    c2 = min(4 * (ctx.exp(2 * rate) - 1), 2 * ctx.exp(2 * rate))
+    eps = []
+    for alpha in orders:
+        if method == "subsample":
+            total = 1 + math.comb(alpha, 2) * g**2 * c2
+            for j in range(3, alpha + 1):
+                total += 2 * math.comb(alpha, j) * g**j * growth[j]
+        else:
+            total = sum(
+                math.comb(alpha, i) * (1 - g) ** (alpha - i) * g**i * growth[i]
+                for i in range(alpha + 1)
+            )
+        eps.append(min(float(ctx.ln(total) / (alpha - 1)), float(alpha * rate)))
+    return eps
+
+
+class TestSubsampledRdpOracle:
+    orders = list(range(2, 65)) + [128]
+
+    @pytest.mark.parametrize("method", ["subsample", "poisson"])
+    @pytest.mark.parametrize("gamma", [1e-4, 1 / 600, 0.01, 0.3])
+    @pytest.mark.parametrize("w", [1.0, 17.136])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.857])
+    def test_matches_decimal_evaluation(self, sigma, w, gamma, method):
+        spec = acc.MechanismSpec(sigma=sigma, sensitivity_sq=w)
+        curve = acc.subsampled_rdp(spec, gamma, orders=self.orders, method=method)
+        expected = subsampled_rdp_oracle(sigma, w, gamma, self.orders, method)
+        # float64 log-domain rounding: relative 1e-12, plus 1e-14 near zero
+        assert curve.eps_at_order == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
 class TestCompose:
@@ -222,6 +262,13 @@ class TestCalibration:
         with_amp = acc.calibrate_sigma(budget, bound, amplification="subsample").sigma
         without = acc.calibrate_sigma(budget, bound, amplification="none").sigma
         assert without > with_amp
+
+    def test_amplification_none_is_sampling_rate_one(self):
+        kwargs = dict(eps_target=3.0, delta_target=1e-5, steps=200, delta_split=0.0)
+        sampled = acc.PrivacyBudget(sampling_rate=0.01, **kwargs)
+        full = acc.PrivacyBudget(sampling_rate=1.0, **kwargs)
+        bound = fixed_sensitivity(1.0)
+        assert acc.account(1.5, sampled, bound, amplification="none") == acc.account(1.5, full, bound)
 
     def test_default_orders_shape(self):
         orders = acc.default_orders()

@@ -136,6 +136,14 @@ class TestToyCmd:
         assert lines[0] == "c,swd_mean,swd_std,dpswd_mean,dpswd_std"
         assert len(lines) == 4
 
+    def test_manifest_records_grid_as_given(self):
+        r = run_cli("toy", "--d", "2", "--n", "10", "--k", "4", "--sigma", "0",
+                    "--grid", "0.2:0.4:0.1", "--repeats", "1", "--seed", "9")
+        assert r.returncode == 0
+        payload = json.loads(r.stdout)
+        assert payload["manifest"]["params"]["grid"] == "0.2:0.4:0.1"
+        assert [row["c"] for row in payload["rows"]] == pytest.approx([0.2, 0.3, 0.4])
+
     def test_bad_grid_is_usage_error(self):
         r = run_cli("toy", "--grid", "1:0:0.1", "--seed", "0")
         assert r.returncode == 2
