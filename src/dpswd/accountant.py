@@ -189,9 +189,7 @@ def subsampled_rdp(
     log_fact = np.concatenate([[0.0], np.cumsum(np.log(j[1:]))])
     a = alphas[:, None]
     inside = j <= a
-    log_binom = np.where(
-        inside, log_fact[a] - log_fact[j] - log_fact[np.where(inside, a - j, 0)], -np.inf
-    )
+    log_binom = np.where(inside, log_fact[a] - log_fact[j] - log_fact[np.maximum(a - j, 0)], -np.inf)
     if method == "subsample":
         # j = 0 is the leading 1; j = 1 has no term; j = 2 has the
         # coefficient min(4(e^{e2}-1), 2 e^{e2}), the second once e2 >= ln 2
