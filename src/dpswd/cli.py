@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -25,7 +26,7 @@ from .accountant import (
     dense_orders,
 )
 from .flow import FlowConfig, FlowDiverged, run_flow
-from .measures import DataError, load_csv, normalize_for_privacy, save_csv
+from .measures import DataError, load_csv, normalize_for_privacy, save_csv, write_csv_rows
 from .measures import EmpiricalMeasure
 from .randomness import PURPOSE_DATA, derive_seed, substream
 from .sensitivity import simulate_sensitivity, summarize_simulation
@@ -68,8 +69,9 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"non-numeric grid component in {text!r}")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"grid must advance from start to stop, got {text!r}")
-    count = int(round((stop - start) / step)) + 1
-    return [start + i * step for i in range(count)]
+    # the tolerance keeps a stop that the steps reach up to rounding, e.g. 0:0.3:0.1
+    count = math.floor((stop - start) / step + 1e-9) + 1
+    return [min(start + i * step, stop) for i in range(count)]
 
 
 def _parse_normalize(text: str) -> tuple[str, float | None]:
@@ -99,16 +101,6 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
 def cmd_compute(args) -> int:
     started = time.perf_counter()
     if args.sigma > 0 and args.normalize is None:
@@ -116,10 +108,11 @@ def cmd_compute(args) -> int:
             "--sigma > 0 requires --normalize: the private mechanism assumes "
             "privacy-normalized inputs (row norms <= 1/2)"
         )
+    normalize = None if args.normalize is None else _parse_normalize(args.normalize)
     a = load_csv(args.a, has_header=args.header)
     b = load_csv(args.b, has_header=args.header)
-    if args.normalize is not None:
-        mode, radius = args.normalize
+    if normalize is not None:
+        mode, radius = normalize
         a = normalize_for_privacy(a, mode=mode, clip=radius)
         b = normalize_for_privacy(b, mode=mode, clip=radius)
     cfg = SwdConfig(k=args.k, q=args.q, seed=args.seed, sigma=args.sigma, noise_sides=args.sides)
@@ -130,7 +123,7 @@ def cmd_compute(args) -> int:
     params = {
         "a": str(args.a), "b": str(args.b), "k": args.k, "q": args.q,
         "sigma": args.sigma, "sides": args.sides,
-        "normalize": args.normalize_raw, "header": args.header,
+        "normalize": args.normalize, "header": args.header,
     }
     _emit(
         {
@@ -151,8 +144,8 @@ def cmd_sensitivity(args) -> int:
     requested = summarize_simulation(samples, args.k, args.d, deltas=(args.delta,))["levels"][0]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "sensitivity_samples.csv", ["trial", "h"],
-               ((i, float(h)) for i, h in enumerate(samples)))
+    write_csv_rows(out / "sensitivity_samples.csv", enumerate(samples.tolist()),
+                   header=["trial", "h"])
     params = {"d": args.d, "k": args.k, "trials": args.trials, "delta": args.delta, "out": str(args.out)}
     payload = {
         "empirical_mean": summary["empirical_mean"],
@@ -204,11 +197,8 @@ def cmd_toy(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(
-            out / "toy.csv",
-            ["c", "swd_mean", "swd_std", "dpswd_mean", "dpswd_std"],
-            ([row[k] for k in ("c", "swd_mean", "swd_std", "dpswd_mean", "dpswd_std")] for row in rows),
-        )
+        columns = ["c", "swd_mean", "swd_std", "dpswd_mean", "dpswd_std"]
+        write_csv_rows(out / "toy.csv", ([row[k] for k in columns] for row in rows), header=columns)
     _emit({"rows": rows, "manifest": _manifest("toy", params, args.seed, started)})
     return EXIT_OK
 
@@ -254,22 +244,22 @@ def cmd_calibrate(args) -> int:
 
 def _write_trace(out: Path, trace) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
+    write_csv_rows(
         out / "trace.csv",
-        ["iteration", "loss", "grad_norm"],
-        zip((int(i) for i in trace.iterations), (float(v) for v in trace.losses),
-            (float(g) for g in trace.grad_norms)),
+        zip(trace.iterations.tolist(), trace.losses.tolist(), trace.grad_norms.tolist()),
+        header=["iteration", "loss", "grad_norm"],
     )
 
 
 def cmd_flow(args) -> int:
     started = time.perf_counter()
+    normalize = None if args.normalize is None else _parse_normalize(args.normalize)
     source = load_csv(args.source, has_header=args.header)
     target = load_csv(args.target, has_header=args.header)
     if args.sigma > 0 and args.normalize is None:
         raise argparse.ArgumentTypeError("--sigma > 0 requires --normalize (privacy precondition)")
-    if args.normalize is not None:
-        mode, radius = args.normalize
+    if normalize is not None:
+        mode, radius = normalize
         source = normalize_for_privacy(source, mode=mode, clip=radius)
         target = normalize_for_privacy(target, mode=mode, clip=radius)
     cfg = FlowConfig(
@@ -295,7 +285,7 @@ def cmd_flow(args) -> int:
     params = {
         "source": str(args.source), "target": str(args.target),
         "iters": args.iters, "lr": args.lr, "k": args.k, "sigma": args.sigma,
-        "normalize": args.normalize_raw, "batch": args.batch,
+        "normalize": args.normalize, "batch": args.batch,
         "delta": args.delta, "delta_split": args.delta_split, "bound": args.bound,
         "log_every": args.log_every, "out": str(args.out), "header": args.header,
     }
@@ -334,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--sides", choices=["both", "target-only"], default="both")
-    p.add_argument("--normalize", type=_parse_normalize, default=None, metavar="max|clip:C")
+    p.add_argument("--normalize", default=None, metavar="max|clip:C")
     p.add_argument("--header", action="store_true", help="skip one header line in the CSVs")
     p.set_defaults(func=cmd_compute)
 
@@ -380,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, required=True)
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--normalize", type=_parse_normalize, default=None, metavar="max|clip:C")
+    p.add_argument("--normalize", default=None, metavar="max|clip:C")
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--delta", type=float, default=1e-5)
     p.add_argument("--delta-split", type=float, default=0.5, dest="delta_split")
@@ -395,10 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.normalize_raw = None
-    if getattr(args, "normalize", None) is not None:
-        mode, radius = args.normalize
-        args.normalize_raw = mode if radius is None else f"{mode}:{radius}"
     try:
         return args.func(args)
     except tuple(exc_type for exc_type, _ in _EXIT_CODES) as exc:

@@ -76,8 +76,39 @@ def from_points(points, weights=None) -> EmpiricalMeasure:
 
 
 def load_csv(path, has_header: bool = False) -> EmpiricalMeasure:
-    """Read a numeric CSV (one sample per row) into a uniform-weight measure."""
+    """Read a numeric CSV (one sample per row) into a uniform-weight measure.
+
+    The file is parsed in one pass by numpy's C reader. Input it rejects
+    (ragged rows, bad cells, quoting) and input with no data rows go to the
+    per-cell scan, which names the failing line and column or, for cells
+    that only Python's ``float`` accepts, returns the same array.
+    """
     path = Path(path)
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        points = _bulk_parse(fh, has_header)
+    if points is None:
+        points = _scan_csv(path, has_header)
+    return from_points(points)
+
+
+def _bulk_parse(fh, has_header: bool) -> np.ndarray | None:
+    """The whole file through np.loadtxt, or None where the scan must decide."""
+    # loadtxt warns on input without data rows, so look for one first
+    lines = iter(fh)
+    if has_header:
+        next(lines, None)
+    if not any(line.strip("\r\n") for line in lines):
+        return None
+    fh.seek(0)
+    try:
+        return np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2, comments=None,
+                          skiprows=1 if has_header else 0)
+    except ValueError:
+        return None
+
+
+def _scan_csv(path: Path, has_header: bool) -> np.ndarray:
+    """Per-cell parse: the array, or a DataError naming the failing line and column."""
     rows: list[list[float]] = []
     width = None
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -105,18 +136,27 @@ def load_csv(path, has_header: bool = False) -> EmpiricalMeasure:
             rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return from_points(np.asarray(rows, dtype=float))
+    return np.asarray(rows, dtype=float)
+
+
+def write_csv_rows(path, rows, header=None) -> None:
+    """Write an optional header row, then rows of numbers, one line each.
+
+    Cells are written with ``str``, which for a Python float is its shortest
+    round-trip ``repr``. Nothing is quoted: for numbers and plain column
+    names ``csv.writer`` writes the same bytes. Rows are formatted one at a
+    time, so no copy of the whole table is held as text.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def save_csv(measure: EmpiricalMeasure, path, header: bool = False) -> None:
     """Write support points as CSV with full round-trip precision."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if header:
-            writer.writerow([f"x{j}" for j in range(measure.dim)])
-        for row in measure.points:
-            writer.writerow([repr(float(v)) for v in row])
+    names = [f"x{j}" for j in range(measure.dim)] if header else None
+    write_csv_rows(path, (row.tolist() for row in measure.points), header=names)
 
 
 def load_raw(path) -> EmpiricalMeasure:

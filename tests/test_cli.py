@@ -8,6 +8,7 @@ import pytest
 from jsonschema import Draft7Validator
 
 import dpswd
+from dpswd.cli import _parse_grid
 
 SCHEMA_DIR = Path(dpswd.__file__).parent / "schemas"
 
@@ -76,6 +77,19 @@ class TestCompute:
         payload = json.loads(r.stdout)
         assert payload["value"] > 0
         validate(payload, "compute.schema.json")
+
+    @pytest.mark.parametrize("text", ["max", "clip:2"])
+    def test_manifest_records_normalize_as_given(self, data_dir, text):
+        r = run_cli("compute", "--a", str(data_dir / "a.csv"), "--b", str(data_dir / "b.csv"),
+                    "--k", "8", "--normalize", text, "--seed", "3")
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["manifest"]["params"]["normalize"] == text
+
+    def test_bad_normalize_is_usage_error(self, data_dir):
+        r = run_cli("compute", "--a", str(data_dir / "a.csv"), "--b", str(data_dir / "b.csv"),
+                    "--sigma", "0.5", "--normalize", "clip:x")
+        assert r.returncode == 2
+        assert "bad clip radius" in r.stderr
 
     def test_missing_file_is_data_error(self, data_dir):
         r = run_cli("compute", "--a", str(data_dir / "nope.csv"), "--b", str(data_dir / "b.csv"))
@@ -147,6 +161,16 @@ class TestToyCmd:
     def test_bad_grid_is_usage_error(self):
         r = run_cli("toy", "--grid", "1:0:0.1", "--seed", "0")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("text, count", [("0:1:0.35", 3), ("0:0.3:0.1", 4), ("0:1:0.1", 11),
+                                             ("0:0.4:0.2", 3), ("0.2:0.4:0.1", 3), ("1:1:0.5", 1)])
+    def test_grid_ends_at_or_before_stop(self, text, count):
+        grid = _parse_grid(text)
+        start, stop, step = (float(p) for p in text.split(":"))
+        assert len(grid) == count
+        assert grid[0] == start
+        assert grid[-1] <= stop
+        assert grid == pytest.approx([start + i * step for i in range(count)], abs=1e-12)
 
 
 class TestCalibrateCmd:
@@ -226,6 +250,14 @@ class TestFlowCmd:
                     "--iters", "5", "--lr", "0.1", "--sigma", "1.0",
                     "--out", str(tmp_path / "x"))
         assert r.returncode == 2
+
+    def test_manifest_records_normalize_as_given(self, data_dir, tmp_path):
+        r = run_cli("flow", "--source", str(data_dir / "src2d.csv"),
+                    "--target", str(data_dir / "tgt2d.csv"),
+                    "--iters", "2", "--lr", "0.5", "--k", "4", "--normalize", "max",
+                    "--seed", "4", "--out", str(tmp_path / "n"))
+        assert r.returncode == 0
+        assert json.loads(r.stdout)["manifest"]["params"]["normalize"] == "max"
 
     def test_private_run_reports_budget(self, data_dir, tmp_path):
         out = tmp_path / "pflow"

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,108 @@ class TestCsv:
         back = ms.load_csv(p)
         # repr round-trips doubles exactly, comfortably within 1e-15 relative
         assert np.array_equal(back.points, m.points)
+
+
+# Inputs the bulk parser and the per-cell scan must agree on, as raw bytes.
+LOADER_CASES = {
+    "plain": b"0.5,-1\n2e3,4\n",
+    "blank_lines": b"\n1,2\n\n\n3,4\n\n",
+    "crlf": b"1,2\r\n3,4\r\n",
+    "crlf_blank_line": b"1,2\r\n\r\n3,4\r\n",
+    "whitespace_line": b"1,2\n   \n3,4\n",
+    "trailing_comma": b"1,2,\n3,4,\n",
+    "quoted_cell": b'"1.5",2\n3,"4"\n',
+    "underscore_digits": b"1_0,2\n3,4\n",
+    "hash_line": b"# comment\n1,2\n",
+    "nan_cell": b"1,nan\n3,4\n",
+    "spaces_around_cells": b" 1 ,\t2\n3, 4\n",
+    "single_row": b"1,2,3\n",
+    "single_column": b"1\n2\n3\n",
+    "no_final_newline": b"1,2\n3,4",
+    "ragged": b"1,2\n3\n",
+    "unparsable": b"1,2\n3,oops\n",
+    "header_only": b"x,y\n",
+    "empty": b"",
+    "blank_only": b"\n\r\n\n",
+}
+
+
+def _outcome(fn, *args):
+    try:
+        return "array", fn(*args).points
+    except ms.DataError as exc:
+        return "error", str(exc)
+
+
+class TestLoaderAgreesWithScan:
+    @pytest.mark.parametrize("has_header", [False, True])
+    @pytest.mark.parametrize("name", sorted(LOADER_CASES))
+    def test_same_array_or_same_error(self, tmp_path, name, has_header):
+        p = tmp_path / f"{name}.csv"
+        p.write_bytes(LOADER_CASES[name])
+        got = _outcome(ms.load_csv, p, has_header)
+        want = _outcome(lambda path, h: ms.from_points(ms._scan_csv(path, h)), p, has_header)
+        assert got[0] == want[0]
+        if got[0] == "array":
+            assert got[1].shape == want[1].shape
+            assert np.array_equal(got[1], want[1])
+        else:
+            assert got[1] == want[1]
+
+    def test_clean_input_skips_the_scan(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-cell scan called on clean input")
+
+        monkeypatch.setattr(ms, "_scan_csv", refuse)
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"a,b\r\n1,2\r\n\r\n3,4\r\n")
+        assert ms.load_csv(p, has_header=True).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_repr_round_trip_300x50(self, tmp_path):
+        rng = np.random.default_rng(7)
+        scales = 10.0 ** rng.integers(-300, 300, size=(300, 1))
+        pts = rng.standard_normal((300, 50)) * scales
+        pts[0, :3] = [0.0, -0.0, 5e-324]
+        p = tmp_path / "rt.csv"
+        p.write_text("".join(",".join(map(repr, row)) + "\n" for row in pts.tolist()))
+        back = ms.load_csv(p).points
+        assert np.array_equal(back, pts)
+        assert np.array_equal(back, ms._scan_csv(p, False))
+
+
+def _csv_writer_reference(path, header, rows):
+    """How the rows were written before the shared formatter: one csv.writer row each."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+
+class TestWriteCsvRows:
+    ROWS = [
+        [0, 0.1, -0.0, 1e-300],
+        [17, float("nan"), float("inf"), -float("inf")],
+        [2**70, 1.0, 123456789.125, 5e-324],
+        [-3, 1.7976931348623157e308, -2.5, 1e16],
+    ]
+
+    @pytest.mark.parametrize("header", [None, ["trial", "h", "c", "x3"]])
+    def test_bytes_match_csv_writer(self, tmp_path, header):
+        ms.write_csv_rows(tmp_path / "new.csv", iter(self.ROWS), header=header)
+        _csv_writer_reference(tmp_path / "ref.csv", header, self.ROWS)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_save_csv_bytes_match_csv_writer(self, tmp_path, header):
+        rng = np.random.default_rng(3)
+        m = ms.from_points(rng.standard_normal((40, 6)) * 10.0 ** rng.integers(-9, 9, (40, 1)))
+        ms.save_csv(m, tmp_path / "new.csv", header=header)
+        _csv_writer_reference(tmp_path / "ref.csv",
+                              [f"x{j}" for j in range(m.dim)] if header else None,
+                              m.points.tolist())
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestRawBinary:
