@@ -2,8 +2,10 @@
 
 Every subcommand is a reproducible experiment: identical arguments and
 seed produce identical output (the manifest's duration field is the only
-exception; --threads is accepted and never affects results). JSON goes to
-stdout with sorted keys; bulk data goes to CSV files under --out.
+exception). --threads is still accepted and still changes nothing: the
+sensitivity simulation picks its own thread count, and its sample does not
+depend on it. JSON goes to stdout with sorted keys; bulk data goes to CSV
+files under --out.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .flow import FlowConfig, FlowDiverged, run_flow
 from .measures import DataError, load_csv, normalize_for_privacy, save_csv, write_csv_rows
 from .measures import EmpiricalMeasure
 from .randomness import PURPOSE_DATA, derive_seed, substream
-from .sensitivity import simulate_sensitivity, summarize_simulation
+from .sensitivity import check_delta, simulate_sensitivity, summarize_simulation
 from .sliced_distance import SwdConfig, dp_swd, smoothed_swd, swd
 
 EXIT_OK = 0
@@ -139,6 +141,7 @@ def cmd_compute(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     started = time.perf_counter()
+    check_delta(args.delta)
     samples = simulate_sensitivity(args.d, args.k, args.trials, args.seed)
     summary = summarize_simulation(samples, args.k, args.d)
     requested = summarize_simulation(samples, args.k, args.d, deltas=(args.delta,))["levels"][0]

@@ -12,14 +12,18 @@ histogram-versus-bounds picture used to compare them.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .randomness import PURPOSE_SENSITIVITY, Seed, inverse_normal_cdf, substream
 
-_TRIAL_CHUNK = 1024  # trials per substream; part of the seeded sample's definition
+# Trials per substream. Part of the seeded sample's definition, and the unit of
+# work that simulate_sensitivity hands to one thread.
+_TRIAL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -93,13 +97,25 @@ def clt_bound(k: int, d: int, delta: float) -> SensitivityBound:
 TAIL_BOUNDS = {"bernstein": bernstein_bound, "clt": clt_bound}
 
 
+def check_delta(delta: float) -> None:
+    """Refuse a failure probability outside (0, 1), nan included."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
 def _check_bound_args(k: int, d: int, delta: float) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_delta(delta)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def simulate_sensitivity(d: int, k: int, trials: int, seed: Seed) -> np.ndarray:
@@ -108,9 +124,11 @@ def simulate_sensitivity(d: int, k: int, trials: int, seed: Seed) -> np.ndarray:
     By rotation invariance z is taken as the first basis vector, so each
     projection contributes g1^2 / (g1^2 + Q) with g1 standard normal and Q
     an independent chi-square with d-1 degrees of freedom (the squared norm
-    of the remaining coordinates). Trials are generated in fixed-size
-    chunks with per-chunk substreams, so the sample depends only on
-    (seed, d, k, trials).
+    of the remaining coordinates). Trials are generated in chunks of
+    _TRIAL_CHUNK, chunk i from its own substream i, so the sample depends
+    only on (seed, d, k, trials). The chunks run concurrently on up to one
+    thread per usable CPU (numpy releases the GIL inside its fills); each
+    writes only its own slice, so the CPU count never changes the sample.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -120,12 +138,23 @@ def simulate_sensitivity(d: int, k: int, trials: int, seed: Seed) -> np.ndarray:
         # every projection is +-1, so each squared projection is exactly 1
         return np.full(trials, float(k))
     out = np.empty(trials)
-    for chunk_index, start in enumerate(range(0, trials, _TRIAL_CHUNK)):
+    starts = range(0, trials, _TRIAL_CHUNK)
+    # built on the calling thread, so every dpswd call stays here and the
+    # workers run numpy only
+    rngs = [substream(seed, PURPOSE_SENSITIVITY, i) for i in range(len(starts))]
+
+    def fill(start: int, rng: np.random.Generator) -> None:
         stop = min(start + _TRIAL_CHUNK, trials)
-        rng = substream(seed, PURPOSE_SENSITIVITY, chunk_index)
-        g1_sq = rng.standard_normal((stop - start, k)) ** 2
-        rest_sq = rng.chisquare(d - 1, size=(stop - start, k))
-        out[start:stop] = (g1_sq / (g1_sq + rest_sq)).sum(axis=1)
+        # in place: g1^2 / (g1^2 + Q) with two (chunk x k) arrays
+        ratio = rng.standard_normal((stop - start, k))
+        np.square(ratio, out=ratio)
+        total = rng.chisquare(d - 1, size=(stop - start, k))
+        total += ratio
+        np.divide(ratio, total, out=ratio)
+        out[start:stop] = ratio.sum(axis=1)
+
+    with ThreadPoolExecutor(max_workers=min(len(rngs), _usable_cpus())) as pool:
+        list(pool.map(fill, starts, rngs))  # reading each result re-raises a worker's error
     return out
 
 

@@ -130,6 +130,16 @@ class TestSensitivityCmd:
         rows = (out / "sensitivity_samples.csv").read_text().splitlines()[1:]
         assert all(float(line.split(",")[1]) == 7.0 for line in rows)
 
+    @pytest.mark.parametrize("d,delta", [("20", "0"), ("20", "1"), ("20", "1.5"), ("20", "nan"),
+                                         ("1", "1.5")])
+    def test_bad_delta_is_refused_before_simulating(self, tmp_path, d, delta):
+        out = tmp_path / "sens"
+        r = run_cli("sensitivity", "--d", d, "--k", "5", "--trials", "100",
+                    "--delta", delta, "--out", str(out))
+        assert r.returncode == 2
+        assert "delta must lie in (0, 1)" in r.stderr
+        assert not out.exists()
+
 
 class TestToyCmd:
     def test_sigma_zero_columns_equal(self, tmp_path):

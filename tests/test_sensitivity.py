@@ -1,9 +1,26 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from dpswd import sensitivity as sens
+from dpswd.randomness import PURPOSE_SENSITIVITY, substream
+
+
+def serial_reference(d: int, k: int, trials: int, seed) -> np.ndarray:
+    """The serial per-chunk loop of 0.3.2, which defines the seeded sample."""
+    if d == 1:
+        return np.full(trials, float(k))
+    out = np.empty(trials)
+    for chunk_index, start in enumerate(range(0, trials, 1024)):
+        stop = min(start + 1024, trials)
+        rng = substream(seed, PURPOSE_SENSITIVITY, chunk_index)
+        g1_sq = rng.standard_normal((stop - start, k)) ** 2
+        rest_sq = rng.chisquare(d - 1, size=(stop - start, k))
+        out[start:stop] = (g1_sq / (g1_sq + rest_sq)).sum(axis=1)
+    return out
 
 
 class TestBetaMoments:
@@ -144,6 +161,54 @@ class TestSimulation:
         assert {lvl["delta"] for lvl in s["levels"]} == {0.1, 0.05, 0.01}
         for lvl in s["levels"]:
             assert lvl["empirical_quantile"] <= lvl["bernstein"]
+
+
+PINNED_CASES = [(20, 16, t) for t in (1, 1023, 1024, 1025, 2500)] + [(784, 200, 5000), (1, 5, 3)]
+
+
+class TestConcurrentChunks:
+    """The chunks run on a thread pool; the sample must be the serial one."""
+
+    @pytest.mark.parametrize("d,k,trials", PINNED_CASES, ids=lambda v: str(v))
+    @pytest.mark.parametrize("cpus", ["one", "more-than-chunks"])
+    def test_sample_equals_serial_loop(self, monkeypatch, d, k, trials, cpus):
+        chunks = -(-trials // sens._TRIAL_CHUNK)
+        monkeypatch.setattr(sens, "_usable_cpus", lambda: 1 if cpus == "one" else chunks + 3)
+        expected = serial_reference(d, k, trials, seed=17)
+        assert np.array_equal(sens.simulate_sensitivity(d, k, trials, seed=17), expected)
+
+    def test_many_workers_with_short_switch_interval(self, monkeypatch):
+        # more threads than cores, switching often: a lost or misplaced
+        # chunk write would break equality with the serial loop
+        monkeypatch.setattr(sens, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sens.simulate_sensitivity(5, 3, 8 * 1024 + 7, seed=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, serial_reference(5, 3, 8 * 1024 + 7, seed=3))
+
+    def test_worker_threads_call_no_dpswd_function(self, monkeypatch):
+        callers = []
+
+        def recording_substream(*args):
+            callers.append(threading.get_ident())
+            return substream(*args)
+
+        monkeypatch.setattr(sens, "substream", recording_substream)
+        monkeypatch.setattr(sens, "_usable_cpus", lambda: 4)
+        sens.simulate_sensitivity(10, 4, 3 * 1024 + 1, seed=2)
+        assert callers == [threading.get_ident()] * 4
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        def broken_substream(seed, purpose, index):
+            # chunk 1 gets no generator, so its worker raises AttributeError
+            return object() if index == 1 else substream(seed, purpose, index)
+
+        monkeypatch.setattr(sens, "substream", broken_substream)
+        with pytest.raises(AttributeError):
+            sens.simulate_sensitivity(10, 4, 2048, seed=2)
 
 
 class TestSensitivityBoundType:
