@@ -6,7 +6,7 @@ Renyi-DP accountant with noise calibration, and a particle-flow demo that
 trains against a private target.
 """
 
-__version__ = "0.3.3"
+__version__ = "0.4.0"
 
 from .accountant import (
     CalibrationResult,
@@ -64,7 +64,7 @@ from .sliced_distance import (
 )
 from .wasserstein1d import (
     SortedProfile,
-    sorted_matching_pairs,
+    per_row_costs,
     sorted_profile,
     wasserstein_1d,
     wasserstein_1d_q,
@@ -106,6 +106,7 @@ __all__ = [
     "load_csv",
     "load_raw",
     "normalize_for_privacy",
+    "per_row_costs",
     "privacy_scale",
     "rdp_to_dp",
     "run_flow",
@@ -115,7 +116,6 @@ __all__ = [
     "save_raw",
     "simulate_sensitivity",
     "smoothed_swd",
-    "sorted_matching_pairs",
     "sorted_profile",
     "subsampled_rdp",
     "substream",

@@ -106,8 +106,8 @@ class PrivacyBudget:
     delta_split: float = 0.5
 
     def __post_init__(self):
-        if self.eps_target <= 0:
-            raise ValueError(f"eps_target must be positive, got {self.eps_target}")
+        if not 0 < self.eps_target < math.inf:
+            raise ValueError(f"eps_target must be finite and positive, got {self.eps_target}")
         if not 0.0 < self.delta_target < 1.0:
             raise ValueError(f"delta_target must lie in (0, 1), got {self.delta_target}")
         if self.steps < 1:

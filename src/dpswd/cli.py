@@ -166,6 +166,8 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_toy(args) -> int:
     started = time.perf_counter()
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     grid = _parse_grid(args.grid)
     values_plain = np.empty((args.repeats, len(grid)))
     values_noised = np.empty((args.repeats, len(grid)))
@@ -208,6 +210,9 @@ def cmd_toy(args) -> int:
 
 def cmd_calibrate(args) -> int:
     started = time.perf_counter()
+    for flag, value in (("--n", args.n), ("--batch", args.batch)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     steps = args.epochs * (args.n // args.batch)
     if steps < 1:
         raise DataError(f"schedule has no steps: epochs={args.epochs}, n={args.n}, batch={args.batch}")

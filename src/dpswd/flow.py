@@ -57,6 +57,8 @@ class FlowConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.log_every < 1:
+            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
         if self.seed_policy not in DIRECTION_POLICIES:
             raise ValueError(f"seed_policy must be one of {DIRECTION_POLICIES}, got {self.seed_policy!r}")
         if self.bound_kind not in ("bernstein", "clt"):

@@ -10,11 +10,13 @@ is post-processing).
 Each call makes that release once: the directions are drawn once, each
 side is projected once into a (k, n) layout (one row per direction) and
 noised row by row, and the rows are sorted. The value, the source gradient
-and one particle-flow step are all computed from that single release.
+and one particle-flow step are all computed from that single release; the
+1-D costs of all k rows come from one call to wasserstein1d.per_row_costs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,7 @@ from .randomness import (
     sample_gaussian_matrix,
     sample_sphere,
 )
+from .wasserstein1d import per_row_costs
 
 
 @dataclass(frozen=True)
@@ -47,10 +50,10 @@ class SwdConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 1 <= self.q < math.inf:
+            raise ValueError(f"q must be finite and >= 1, got {self.q}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.noise_sides not in ("both", "target-only"):
             raise ValueError(f"noise_sides must be 'both' or 'target-only', got {self.noise_sides!r}")
 
@@ -115,39 +118,6 @@ def _release(a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig) -> tuple:
     return directions, source, order_a, weights_a, proj_b, weights_b
 
 
-def _per_projection_costs(rows_a, weights_a, rows_b, weights_b, q: float) -> np.ndarray:
-    """Exact 1-D W_q^q for every row pair of two (k, n) and (k, m) sorted arrays.
-
-    Both inverse CDFs are constant between the merged breakpoints of the two
-    cumulative-weight ladders; each such segment contributes its length
-    times |x - y|^q. Weights of None mean uniform, whose ladders i/n and
-    j/m are shared by every row and merged once.
-    """
-    n, m = rows_a.shape[1], rows_b.shape[1]
-    if weights_a is None and weights_b is None:
-        ca, cb = np.arange(1, n + 1) / n, np.arange(1, m + 1) / m
-        z = np.union1d(ca, cb)  # i/n == j/m exactly when the fractions are equal
-        seg = np.diff(z, prepend=0.0)
-        gaps = rows_a[:, np.searchsorted(ca, z)] - rows_b[:, np.searchsorted(cb, z)]
-    else:
-        k = rows_a.shape[0]
-        ca = np.cumsum(np.full((k, n), 1.0 / n) if weights_a is None else weights_a, axis=1)
-        cb = np.cumsum(np.full((k, m), 1.0 / m) if weights_b is None else weights_b, axis=1)
-        # per-row ladders, each ending at exactly 1; zero weights add no step
-        merged = np.concatenate([ca / ca[:, -1:], cb / cb[:, -1:]], axis=1)
-        order = np.argsort(merged, axis=1, kind="stable")
-        seg = np.diff(np.take_along_axis(merged, order, axis=1), axis=1, prepend=0.0)
-        # on the segment ending at a breakpoint, each side sits at the count of
-        # its own breakpoints merged before it; zero-length segments may point
-        # one past the end and are clipped
-        from_a = order < n
-        ia = np.cumsum(from_a, axis=1) - from_a
-        ib = np.arange(n + m) - ia
-        gaps = (np.take_along_axis(rows_a, np.minimum(ia, n - 1), axis=1)
-                - np.take_along_axis(rows_b, np.minimum(ib, m - 1), axis=1))
-    return np.sum(np.abs(gaps) ** q * seg, axis=1)
-
-
 def smoothed_swd(a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig) -> SwdResult:
     """Sliced W_q^q between Gaussian-noised projections (no privacy preconditions).
 
@@ -155,7 +125,7 @@ def smoothed_swd(a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig) -> Sw
     always reproduces the same directions and noise.
     """
     _, source, _, weights_a, target, weights_b = _release(a, b, cfg)
-    costs = _per_projection_costs(source, weights_a, target, weights_b, cfg.q)
+    costs = per_row_costs(source, weights_a, target, weights_b, cfg.q)
     return SwdResult(value=float(np.mean(costs)), per_projection=costs, config=cfg)
 
 
@@ -205,7 +175,7 @@ def value_and_gradient(
     by_row = np.empty_like(diffs)
     np.put_along_axis(by_row, order, diffs, axis=1)
     grad = (2.0 / (cfg.k * a.n)) * by_row.T @ directions.T
-    return float(np.mean(_per_projection_costs(source, None, target, None, cfg.q))), grad
+    return float(np.mean(per_row_costs(source, None, target, None, cfg.q))), grad
 
 
 def swd_gradient_source(a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig) -> np.ndarray:

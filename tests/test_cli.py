@@ -91,6 +91,14 @@ class TestCompute:
         assert r.returncode == 2
         assert "bad clip radius" in r.stderr
 
+    @pytest.mark.parametrize("flag, value", [("--q", "nan"), ("--q", "inf"), ("--sigma", "nan")])
+    def test_non_finite_q_or_sigma_is_usage_error(self, data_dir, flag, value):
+        r = run_cli("compute", "--a", str(data_dir / "a.csv"), "--b", str(data_dir / "b.csv"),
+                    "--k", "8", flag, value, "--seed", "3")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert f"{flag[2:]} must be finite" in r.stderr
+
     def test_missing_file_is_data_error(self, data_dir):
         r = run_cli("compute", "--a", str(data_dir / "nope.csv"), "--b", str(data_dir / "b.csv"))
         assert r.returncode == 3
@@ -168,6 +176,12 @@ class TestToyCmd:
         assert payload["manifest"]["params"]["grid"] == "0.2:0.4:0.1"
         assert [row["c"] for row in payload["rows"]] == pytest.approx([0.2, 0.3, 0.4])
 
+    def test_zero_repeats_is_usage_error(self):
+        r = run_cli("toy", "--d", "2", "--n", "10", "--k", "4", "--repeats", "0", "--seed", "9")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "--repeats must be >= 1" in r.stderr
+
     def test_bad_grid_is_usage_error(self):
         r = run_cli("toy", "--grid", "1:0:0.1", "--seed", "0")
         assert r.returncode == 2
@@ -223,6 +237,26 @@ class TestCalibrateCmd:
             return json.loads(r.stdout)["sigma"]
 
         assert sigma_for(20) > sigma_for(10)
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_is_usage_error(self, eps):
+        r = run_cli("calibrate", "--eps", eps, "--delta", "1e-5", "--dim", "784", "--k", "1000",
+                    "--n", "600", "--epochs", "1", "--batch", "100", "--seed", "0")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "eps_target must be finite and positive" in r.stderr
+
+    @pytest.mark.parametrize("flag", ["--n", "--batch"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_size_is_usage_error(self, flag, value):
+        sizes = {"--n": "60000", "--batch": "100", flag: value}
+        r = run_cli("calibrate", "--eps", "10", "--delta", "1e-5", "--dim", "784", "--k", "1000",
+                    "--epochs", "100", *(part for item in sizes.items() for part in item),
+                    "--seed", "0")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert f"{flag} must be >= 1" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_infeasible_budget_exit_code(self):
         r = run_cli("calibrate", "--eps", "0.001", "--delta", "1e-7", "--dim", "50",
@@ -288,6 +322,17 @@ class TestFlowCmd:
                     "--delta-split", "0", "--out", str(tmp_path / "x"))
         assert r.returncode == 2
         assert "delta_split must be > 0" in r.stderr
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_log_every_below_one_is_usage_error(self, data_dir, tmp_path, value):
+        out = tmp_path / "x"
+        r = run_cli("flow", "--source", str(data_dir / "src2d.csv"),
+                    "--target", str(data_dir / "tgt2d.csv"),
+                    "--iters", "5", "--lr", "0.1", "--log-every", value, "--out", str(out))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "log_every must be >= 1" in r.stderr
+        assert not out.exists()
 
     def test_diverging_flow_exits_cleanly_with_partial_trace(self, data_dir, tmp_path):
         out = tmp_path / "diverged"

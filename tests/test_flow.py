@@ -104,6 +104,11 @@ class TestRunFlow:
         with pytest.raises(ValueError, match="uniform"):
             run_flow(weighted, cloud(10, 2, 1), cfg)
 
+    @pytest.mark.parametrize("log_every", [0, -1])
+    def test_log_every_below_one_rejected(self, log_every):
+        with pytest.raises(ValueError, match="log_every must be >= 1"):
+            FlowConfig(iterations=5, learning_rate=0.1, log_every=log_every)
+
     def test_divergence_detection(self):
         src, tgt = cloud(10, 2, 12, shift=3.0), cloud(10, 2, 13)
         cfg = FlowConfig(iterations=200, learning_rate=1e6, k=8, sigma=0.0, seed=14, log_every=1)

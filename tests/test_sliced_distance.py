@@ -6,7 +6,6 @@ from dpswd.measures import DataError, EmpiricalMeasure
 from dpswd.randomness import sample_sphere
 from dpswd.sliced_distance import (
     SwdConfig,
-    _per_projection_costs,
     _sort_rows,
     dp_swd,
     smoothed_swd,
@@ -14,9 +13,29 @@ from dpswd.sliced_distance import (
     swd_gradient_source,
     value_and_gradient,
 )
-from dpswd.wasserstein1d import sorted_profile, wasserstein_1d_q
+from dpswd.wasserstein1d import SortedProfile, per_row_costs, sorted_profile
 
 V5 = 2 * (5 - 1) / (25 * (5 + 2))  # variance of a squared projection at d=5
+
+
+def walk_cost(pa: SortedProfile, pb: SortedProfile, q: float) -> float:
+    """Reference W_q^q: walk the merged breakpoints of two profiles one segment at a time."""
+    va, ca = pa.values, pa.cumweights
+    vb, cb = pb.values, pb.cumweights
+    i = j = 0
+    z = 0.0
+    total = 0.0
+    while i < va.size and j < vb.size:
+        zn = min(ca[i], cb[j])
+        seg = zn - z
+        if seg > 0:
+            total += seg * abs(va[i] - vb[j]) ** q
+        z = zn
+        if ca[i] <= zn:
+            i += 1
+        if cb[j] <= zn:
+            j += 1
+    return total
 
 
 def gaussian_cloud(n, d, seed, shift=0.0):
@@ -109,6 +128,12 @@ class TestSwd:
         with pytest.raises(ValueError, match="dimension mismatch"):
             swd(gaussian_cloud(3, 2, 0), gaussian_cloud(3, 3, 0), SwdConfig(seed=0))
 
+    @pytest.mark.parametrize("field, value", [("q", np.nan), ("q", np.inf), ("q", 0.5),
+                                              ("sigma", np.nan), ("sigma", np.inf), ("sigma", -1.0)])
+    def test_config_rejects_non_finite_or_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SwdConfig(**{field: value})
+
     def test_sigma_nonzero_rejected(self):
         with pytest.raises(ValueError):
             swd(gaussian_cloud(3, 2, 0), gaussian_cloud(3, 2, 1), SwdConfig(sigma=1.0))
@@ -131,7 +156,7 @@ class TestSwd:
 
 
 class TestPerProjectionCosts:
-    """The vectorized ladder merge against the per-column 1-D walk."""
+    """The vectorized ladder merge against the scalar breakpoint walk."""
 
     @staticmethod
     def sorted_side(rows, weights):
@@ -157,9 +182,9 @@ class TestPerProjectionCosts:
             if w is not None:
                 w[1] = 0.0  # a zero weight must contribute no mass
         # weights are left unnormalized: like sorted_profile, the costs rescale them
-        got = _per_projection_costs(*self.sorted_side(rows_a, w_a), *self.sorted_side(rows_b, w_b), q)
+        got = per_row_costs(*self.sorted_side(rows_a, w_a), *self.sorted_side(rows_b, w_b), q)
         expected = [
-            wasserstein_1d_q(sorted_profile(rows_a[j], w_a), sorted_profile(rows_b[j], w_b), q)
+            walk_cost(sorted_profile(rows_a[j], w_a), sorted_profile(rows_b[j], w_b), q)
             for j in range(k)
         ]
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)

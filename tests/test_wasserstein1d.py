@@ -7,7 +7,6 @@ from scipy.optimize import linprog
 from dpswd import from_points
 from dpswd.wasserstein1d import (
     SortedProfile,
-    sorted_matching_pairs,
     sorted_profile,
     wasserstein_1d,
     wasserstein_1d_q,
@@ -136,41 +135,6 @@ class TestMetricProperties:
                 left = wasserstein_1d_q(s * xa, s * xb, q)
                 right = abs(s) ** q * wasserstein_1d_q(xa, xb, q)
                 assert left == pytest.approx(right, rel=1e-12)
-
-
-class TestSortedMatchingPairs:
-    def test_example_pairs(self):
-        idx_a, idx_b = sorted_matching_pairs([5.0, 1.0], [2.0, 7.0])
-        a, b = np.array([5.0, 1.0]), np.array([2.0, 7.0])
-        pairs = list(zip(a[idx_a], b[idx_b]))
-        assert pairs == [(1.0, 2.0), (5.0, 7.0)]
-
-    def test_reproduces_w1(self):
-        a, b = np.array([5.0, 1.0]), np.array([2.0, 7.0])
-        idx_a, idx_b = sorted_matching_pairs(a, b)
-        cost = np.abs(a[idx_a] - b[idx_b]).mean()
-        assert cost == pytest.approx(1.5)
-        assert cost == pytest.approx(wasserstein_1d_q(a, b, 1))
-
-    def test_identity_on_equal_inputs(self):
-        a = np.array([3.0, -1.0, 2.0])
-        idx_a, idx_b = sorted_matching_pairs(a, a)
-        assert np.array_equal(idx_a, idx_b)
-        assert np.abs(a[idx_a] - a[idx_b]).sum() == 0.0
-
-    def test_matching_reproduces_wq_on_random_instances(self):
-        rng = np.random.default_rng(8)
-        for _ in range(30):
-            n = int(rng.integers(1, 9))
-            a, b = rng.standard_normal(n), rng.standard_normal(n)
-            idx_a, idx_b = sorted_matching_pairs(a, b)
-            for q in (1.0, 2.0):
-                cost = (np.abs(a[idx_a] - b[idx_b]) ** q).mean()
-                assert cost == pytest.approx(wasserstein_1d_q(a, b, q), rel=1e-12, abs=1e-15)
-
-    def test_unequal_counts_rejected(self):
-        with pytest.raises(ValueError):
-            sorted_matching_pairs([1.0], [1.0, 2.0])
 
     def test_ties_any_order_same_cost(self):
         a = np.array([1.0, 1.0, 0.0])
