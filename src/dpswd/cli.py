@@ -83,9 +83,25 @@ def _parse_normalize(text: str) -> tuple[str, float | None]:
         try:
             radius = float(text.split(":", 1)[1])
         except ValueError:
-            raise argparse.ArgumentTypeError(f"bad clip radius in {text!r}")
+            radius = math.nan
+        if not 0 < radius < math.inf:
+            raise argparse.ArgumentTypeError(f"bad clip radius in {text!r}: C must be finite and > 0")
         return "clip", radius
     raise argparse.ArgumentTypeError(f"normalize must be 'max' or 'clip:C', got {text!r}")
+
+
+def _load_inputs(args, *paths) -> list[EmpiricalMeasure]:
+    """Load and normalize each CSV in order; usage errors come before any read."""
+    if args.sigma > 0 and args.normalize is None:
+        raise argparse.ArgumentTypeError(
+            "--sigma > 0 requires --normalize: the private mechanism assumes "
+            "privacy-normalized inputs (row norms <= 1/2)"
+        )
+    if args.normalize is None:
+        return [load_csv(path, has_header=args.header) for path in paths]
+    mode, radius = _parse_normalize(args.normalize)
+    return [normalize_for_privacy(load_csv(path, has_header=args.header), mode=mode, clip=radius)
+            for path in paths]
 
 
 def _manifest(subcommand: str, params: dict, seed: int, started: float) -> dict:
@@ -105,18 +121,7 @@ def _emit(payload: dict) -> None:
 
 def cmd_compute(args) -> int:
     started = time.perf_counter()
-    if args.sigma > 0 and args.normalize is None:
-        raise argparse.ArgumentTypeError(
-            "--sigma > 0 requires --normalize: the private mechanism assumes "
-            "privacy-normalized inputs (row norms <= 1/2)"
-        )
-    normalize = None if args.normalize is None else _parse_normalize(args.normalize)
-    a = load_csv(args.a, has_header=args.header)
-    b = load_csv(args.b, has_header=args.header)
-    if normalize is not None:
-        mode, radius = normalize
-        a = normalize_for_privacy(a, mode=mode, clip=radius)
-        b = normalize_for_privacy(b, mode=mode, clip=radius)
+    a, b = _load_inputs(args, args.a, args.b)
     cfg = SwdConfig(k=args.k, q=args.q, seed=args.seed, sigma=args.sigma, noise_sides=args.sides)
     if args.sigma > 0:
         result = dp_swd(a, b, cfg)
@@ -261,15 +266,7 @@ def _write_trace(out: Path, trace) -> None:
 
 def cmd_flow(args) -> int:
     started = time.perf_counter()
-    normalize = None if args.normalize is None else _parse_normalize(args.normalize)
-    source = load_csv(args.source, has_header=args.header)
-    target = load_csv(args.target, has_header=args.header)
-    if args.sigma > 0 and args.normalize is None:
-        raise argparse.ArgumentTypeError("--sigma > 0 requires --normalize (privacy precondition)")
-    if normalize is not None:
-        mode, radius = normalize
-        source = normalize_for_privacy(source, mode=mode, clip=radius)
-        target = normalize_for_privacy(target, mode=mode, clip=radius)
+    source, target = _load_inputs(args, args.source, args.target)
     cfg = FlowConfig(
         iterations=args.iters,
         learning_rate=args.lr,

@@ -3,11 +3,14 @@
 A desk-scale analog of the distribution-matching objectives: the
 "generator" is the particle cloud itself, updated by gradient descent on
 the (optionally noised) sliced distance against a fixed target. Each step
-makes one release of the target's noised projections, and the loss and the
-gradient are both computed from it. Fresh noise (when sigma > 0) is drawn
-every step under either direction policy; fresh directions only under the
-"fresh" policy. The privacy cost of the whole schedule is accounted once up
-front, with the sensitivity tail charged at every fresh direction draw.
+makes one release of the target's noised projections and noises the
+source's alike, so the loss is the smoothed distance, minimized at the
+target itself; the loss and the gradient are both computed from that one
+release. Fresh noise (when sigma > 0) is drawn every step under either
+direction policy; fresh directions only under the "fresh" policy. The
+privacy cost of the whole schedule, accounted once up front for a
+privacy-normalized target, charges the sensitivity tail at every fresh
+direction draw.
 """
 
 from __future__ import annotations
@@ -45,12 +48,10 @@ class FlowConfig:
     seed: Seed = 0
     log_every: int = 10
     seed_policy: str = "fresh"  # "fresh": new directions per step; "fixed": one draw
-    noise_sides: str = "both"
     batch_size: int | None = None  # optional target mini-batching (gamma < 1)
     delta: float = 1e-5
     delta_split: float = 0.5
     bound_kind: str = "bernstein"
-    enforce_privacy: bool = True
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -106,9 +107,9 @@ def run_flow(
     Each step draws noise from a per-step seed (directions too, unless the
     policy is "fixed"), evaluates a consistent (loss, gradient) pair from one
     release, and moves the particles. The target enters every step only
-    through its noised projections. When sigma > 0 the target must satisfy
-    the privacy normalization precondition (all row norms <= 1/2) unless
-    enforce_privacy is disabled for exploratory runs.
+    through its noised projections, and the source's projections get the
+    same noise level. When sigma > 0 the target must satisfy the privacy
+    normalization precondition (all row norms <= 1/2), else DataError.
     """
     if source_init.dim != target_private.dim:
         raise ValueError(f"dimension mismatch: {source_init.dim} vs {target_private.dim}")
@@ -123,7 +124,7 @@ def run_flow(
             raise ValueError(f"batch_size must lie in [1, {target_private.n}]")
         if cfg.batch_size != source_init.n:
             raise ValueError("batch_size must equal the source particle count")
-    if cfg.sigma > 0 and cfg.enforce_privacy:
+    if cfg.sigma > 0:
         check_privacy_normalized(target_private)
 
     eps, delta, order, bound = _privacy_report(target_private, cfg)
@@ -140,7 +141,7 @@ def run_flow(
     for step in range(cfg.iterations):
         step_seed = derive_seed(cfg.seed, step)
         step_cfg = SwdConfig(
-            k=cfg.k, q=2.0, sigma=cfg.sigma, noise_sides=cfg.noise_sides, noise_seed=step_seed,
+            k=cfg.k, q=2.0, sigma=cfg.sigma, noise_seed=step_seed,
             seed=cfg.seed if cfg.seed_policy == "fixed" else step_seed,
         )
         source = EmpiricalMeasure(points)

@@ -10,6 +10,7 @@ bounds.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -190,29 +191,25 @@ def privacy_scale(measure: EmpiricalMeasure) -> float:
 
 
 def normalize_for_privacy(
-    measure: EmpiricalMeasure,
-    mode: str = "max-norm",
-    clip: float | None = None,
-    scale: float | None = None,
+    measure: EmpiricalMeasure, mode: str = "max-norm", clip: float | None = None
 ) -> EmpiricalMeasure:
     """Rescale rows so any two differ by at most 1 in l2 norm.
 
-    max-norm mode divides every row by 2*max row norm (the data-dependent
-    rule of the training algorithm; note the max itself leaks one statistic
-    of the data). clip mode first shrinks rows with norm above C onto the
-    radius-C ball, then divides by 2C; with a public constant C this is the
-    private-grade variant. A caller-supplied ``scale`` overrides the
-    max-norm divisor, for pipelines that fix it once across batches.
+    clip mode first shrinks rows with norm above C onto the radius-C ball,
+    then divides by 2C. With a public constant C, replacing one record moves
+    one row by at most 1 and no other row, which is the neighbouring-dataset
+    precondition the sensitivity bounds and the reported epsilon rest on.
+    max-norm mode divides every row by 2*max row norm, the data-dependent
+    rule of the training algorithm. That divisor is a statistic of the data
+    itself: replacing one record can rescale every row, so the reported
+    epsilon does not cover data normalized this way.
     """
     pts = measure.points
     if mode == "max-norm":
-        s = privacy_scale(measure) if scale is None else float(scale)
-        if s <= 0:
-            raise DataError(f"normalization scale must be positive, got {s}")
-        out = pts / s
+        out = pts / privacy_scale(measure)
     elif mode == "clip":
-        if clip is None or clip <= 0:
-            raise DataError(f"clip mode needs a positive radius C, got {clip}")
+        if clip is None or not 0 < clip < math.inf:
+            raise DataError(f"clip mode needs a finite positive radius C, got {clip}")
         norms = np.linalg.norm(pts, axis=1)
         factor = np.minimum(1.0, clip / np.maximum(norms, 1e-300))
         out = pts * factor[:, None] / (2.0 * clip)

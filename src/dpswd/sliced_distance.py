@@ -37,7 +37,10 @@ class SwdConfig:
     """Estimator configuration: projection count, order, seeds, noise level.
 
     Directions are drawn from ``seed``; noise is drawn from ``noise_seed``,
-    which defaults to ``seed``.
+    which defaults to ``seed``. Noising both sides estimates the smoothed
+    distance SW(a*N, b*N), zero at a = b. "target-only" estimates SW(a, b*N),
+    biased above zero even at a = b: for isotropic Gaussians of scale s by
+    (s - sqrt(s^2 + sigma^2))^2 per direction.
     """
 
     k: int = 100

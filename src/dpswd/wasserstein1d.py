@@ -13,6 +13,7 @@ distances take the root at the boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,8 +109,8 @@ def wasserstein_1d_q(a, b, q: float = 2.0) -> float:
     One row of per_row_costs. Symmetric in (a, b) and zero iff the weighted
     supports coincide as distributions.
     """
-    if q < 1:
-        raise ValueError(f"order q must be >= 1, got {q}")
+    if not 1 <= q < math.inf:
+        raise ValueError(f"order q must be finite and >= 1, got {q}")
     pa, pb = _as_profile(a), _as_profile(b)
     return float(per_row_costs(
         pa.values[None], np.diff(pa.cumweights, prepend=0.0)[None],

@@ -113,6 +113,33 @@ class TestCompute:
         assert r.returncode == 2
 
 
+def private_input_argv(subcommand, first, second, tmp_path):
+    """A compute or flow run reading its two CSV inputs from first and second."""
+    if subcommand == "compute":
+        return ["compute", "--a", first, "--b", second, "--k", "8"]
+    return ["flow", "--source", first, "--target", second, "--iters", "2", "--lr", "0.1",
+            "--k", "4", "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("subcommand", ["compute", "flow"])
+class TestPrivateInputs:
+    def test_sigma_without_normalize_refused_before_reading(self, data_dir, tmp_path, subcommand):
+        argv = private_input_argv(subcommand, str(data_dir / "nope.csv"),
+                                  str(data_dir / "tgt2d.csv"), tmp_path)
+        r = run_cli(*argv, "--sigma", "1")
+        assert r.returncode == 2
+        assert "requires --normalize" in r.stderr
+
+    @pytest.mark.parametrize("radius", ["inf", "nan", "0", "-1"])
+    def test_clip_radius_must_be_finite_and_positive(self, data_dir, tmp_path, subcommand, radius):
+        argv = private_input_argv(subcommand, str(data_dir / "src2d.csv"),
+                                  str(data_dir / "tgt2d.csv"), tmp_path)
+        r = run_cli(*argv, "--sigma", "0.5", "--normalize", f"clip:{radius}")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "C must be finite and > 0" in r.stderr
+
+
 class TestSensitivityCmd:
     def test_outputs_and_values(self, data_dir, tmp_path):
         out = tmp_path / "sens"

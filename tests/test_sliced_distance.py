@@ -268,6 +268,63 @@ class TestDpSwd:
         assert dac <= dab + dbc + 1e-12
 
 
+def isotropic_pair(s1, s2, shift, n, seed):
+    """n draws each of N(0, s1^2 I_5) and N(shift e_1, s2^2 I_5)."""
+    rng = np.random.default_rng(seed)
+    a = s1 * rng.standard_normal((n, 5))
+    b = s2 * rng.standard_normal((n, 5))
+    b[:, 0] += shift
+    return from_points(a), from_points(b)
+
+
+def sswd_closed_form(s1, s2, shift, sigma, n, k):
+    """(exact SSWD_2^2, tolerance) for smoothed_swd on isotropic_pair.
+
+    Each noised projection of a side is N(u.m, s^2 + sigma^2), and 1-D W_2^2
+    between N(mu1, a^2) and N(mu2, b^2) is (mu1 - mu2)^2 + (a - b)^2, so the
+    mean over directions is |m1 - m2|^2/d + (a - b)^2. The tolerance is four
+    standard errors plus the finite-n bias:
+    - directions: |m1 - m2|^4 * V5 / k;
+    - finite n, to first order in the sample mean and scale of each side,
+      averaged over the k directions: the data part shrinks by d, the
+      noise part (fresh per direction) by k;
+    - bias: E W_2^2 of the sorted coupling exceeds the exact value by
+      2ab * beta_n, beta_n = (1/n) sum_i Var z_(i) for standard normal
+      order statistics; n * beta_n is about 3 to 3.7 for n = 100..20000,
+      below the 1 + ln n used here.
+    """
+    d, d2 = 5, shift**2
+    a, b = np.hypot(s1, sigma), np.hypot(s2, sigma)
+    var_n = (4 * d2 * (s1**2 + s2**2) / d**2 + 8 * sigma**2 * d2 / (d * k)
+             + sum((a - b) ** 2 / v**2 * (2 * s**4 / d + 2 * (v**4 - s**4) / k)
+                   for s, v in ((s1, a), (s2, b)))) / n
+    se = np.sqrt(var_n + d2**2 * V5 / k)
+    return d2 / d + (a - b) ** 2, 4 * se + 2 * a * b * (1 + np.log(n)) / n
+
+
+class TestSmoothedClosedForm:
+    """Noising both sides' projections gives the smoothed SWD of mu*N and nu*N."""
+
+    @pytest.mark.parametrize("s1, s2, shift", [(1.0, 2.0, 0.0), (0.5, 1.5, 0.3)])
+    def test_matches_isotropic_gaussian_oracle(self, s1, s2, shift):
+        n, k = 10000, 200
+        a, b = isotropic_pair(s1, s2, shift, n, seed=40)
+        exact, tol = sswd_closed_form(s1, s2, shift, 1.0, n, k)
+        value = smoothed_swd(a, b, SwdConfig(k=k, q=2, seed=41, sigma=1.0)).value
+        assert abs(value - exact) <= tol
+
+    def test_gap_shrinks_as_n_grows(self):
+        def mean_gap(n):
+            exact, tol = sswd_closed_form(1.0, 2.0, 0.0, 1.0, n, 100)
+            gaps = [abs(smoothed_swd(*isotropic_pair(1.0, 2.0, 0.0, n, seed=50 + r),
+                                     SwdConfig(k=100, q=2, seed=60 + r, sigma=1.0)).value - exact)
+                    for r in range(5)]
+            assert max(gaps) <= tol
+            return np.mean(gaps)
+
+        assert mean_gap(4000) < mean_gap(250)
+
+
 class TestGradient:
     def test_zero_at_identical_inputs(self):
         a = gaussian_cloud(8, 3, 0)

@@ -150,6 +150,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             wasserstein_1d_q([0.0], [1.0], 0.5)
 
+    @pytest.mark.parametrize("q", [float("nan"), float("inf")])
+    def test_non_finite_q_rejected(self, q):
+        with pytest.raises(ValueError, match="finite"):
+            wasserstein_1d_q([0.0], [1.0], q)
+
     def test_empty_measure_rejected(self):
         with pytest.raises(ValueError):
             wasserstein_1d_q([], [1.0], 1)
