@@ -5,7 +5,9 @@ seed produce identical output (the manifest's duration field is the only
 exception). --threads is still accepted and still changes nothing: the
 sensitivity simulation picks its own thread count, and its sample does not
 depend on it. JSON goes to stdout with sorted keys; bulk data goes to CSV
-files under --out.
+files under --out. The manifest's params are the parsed arguments, except
+--seed (the manifest's own seed field) and --threads. The choices of
+--bound, --amplification and --sides come from the library's registries.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .accountant import (
+    AMPLIFICATION_MODES,
     InfeasibleBudgetError,
     PrivacyBudget,
     calibrate_sigma,
@@ -31,8 +34,8 @@ from .flow import FlowConfig, FlowDiverged, run_flow
 from .measures import DataError, load_csv, normalize_for_privacy, save_csv, write_csv_rows
 from .measures import EmpiricalMeasure
 from .randomness import PURPOSE_DATA, derive_seed, substream
-from .sensitivity import check_delta, simulate_sensitivity, summarize_simulation
-from .sliced_distance import SwdConfig, dp_swd, smoothed_swd, swd
+from .sensitivity import TAIL_BOUNDS, check_delta, simulate_sensitivity, summarize_simulation
+from .sliced_distance import NOISE_SIDES, SwdConfig, dp_swd, smoothed_swd, swd
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -69,6 +72,8 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric grid component in {text!r}")
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise argparse.ArgumentTypeError(f"grid start, stop and step must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"grid must advance from start to stop, got {text!r}")
     # the tolerance keeps a stop that the steps reach up to rounding, e.g. 0:0.3:0.1
@@ -104,11 +109,14 @@ def _load_inputs(args, *paths) -> list[EmpiricalMeasure]:
             for path in paths]
 
 
-def _manifest(subcommand: str, params: dict, seed: int, started: float) -> dict:
+def _manifest(args, started: float) -> dict:
+    """Run record: every parsed parameter except the seed (its own field) and --threads."""
+    params = {name: value for name, value in vars(args).items()
+              if name not in ("func", "subcommand", "seed", "threads")}
     return {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "params": params,
-        "seed": seed,
+        "seed": args.seed,
         "version": __version__,
         "duration_s": round(time.perf_counter() - started, 6),
     }
@@ -127,18 +135,13 @@ def cmd_compute(args) -> int:
         result = dp_swd(a, b, cfg)
     else:
         result = swd(a, b, cfg)
-    params = {
-        "a": str(args.a), "b": str(args.b), "k": args.k, "q": args.q,
-        "sigma": args.sigma, "sides": args.sides,
-        "normalize": args.normalize, "header": args.header,
-    }
     _emit(
         {
             "value": result.value,
             "distance": result.distance,
             "per_projection": [float(v) for v in result.per_projection],
             "config": {"k": cfg.k, "q": cfg.q, "sigma": cfg.sigma, "noise_sides": cfg.noise_sides, "seed": cfg.seed},
-            "manifest": _manifest("compute", params, args.seed, started),
+            "manifest": _manifest(args, started),
         }
     )
     return EXIT_OK
@@ -154,13 +157,12 @@ def cmd_sensitivity(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_csv_rows(out / "sensitivity_samples.csv", enumerate(samples.tolist()),
                    header=["trial", "h"])
-    params = {"d": args.d, "k": args.k, "trials": args.trials, "delta": args.delta, "out": str(args.out)}
     payload = {
         "empirical_mean": summary["empirical_mean"],
         "expected_mean": summary["expected_mean"],
         "requested": requested,
         "levels": summary["levels"],
-        "manifest": _manifest("sensitivity", params, args.seed, started),
+        "manifest": _manifest(args, started),
     }
     with open(out / "sensitivity_summary.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -171,8 +173,9 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_toy(args) -> int:
     started = time.perf_counter()
-    if args.repeats < 1:
-        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    for flag, value in (("--n", args.n), ("--d", args.d), ("--repeats", args.repeats)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     grid = _parse_grid(args.grid)
     values_plain = np.empty((args.repeats, len(grid)))
     values_noised = np.empty((args.repeats, len(grid)))
@@ -200,16 +203,12 @@ def cmd_toy(args) -> int:
                 "dpswd_std": float(values_noised[:, ci].std(ddof=ddof)),
             }
         )
-    params = {
-        "d": args.d, "n": args.n, "k": args.k, "sigma": args.sigma,
-        "grid": args.grid, "repeats": args.repeats,
-    }
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         columns = ["c", "swd_mean", "swd_std", "dpswd_mean", "dpswd_std"]
         write_csv_rows(out / "toy.csv", ([row[k] for k in columns] for row in rows), header=columns)
-    _emit({"rows": rows, "manifest": _manifest("toy", params, args.seed, started)})
+    _emit({"rows": rows, "manifest": _manifest(args, started)})
     return EXIT_OK
 
 
@@ -232,12 +231,6 @@ def cmd_calibrate(args) -> int:
     bound = budget.tail_bound(args.bound, args.k, args.dim)
     orders = dense_orders() if args.orders == "dense" else default_orders()
     result = calibrate_sigma(budget, bound, orders=orders, amplification=args.amplification)
-    params = {
-        "eps": args.eps, "delta": args.delta, "dim": args.dim, "k": args.k,
-        "n": args.n, "epochs": args.epochs, "batch": args.batch,
-        "bound": args.bound, "amplification": args.amplification,
-        "delta_split": args.delta_split, "orders": args.orders,
-    }
     _emit(
         {
             "sigma": result.sigma,
@@ -249,7 +242,7 @@ def cmd_calibrate(args) -> int:
             "gamma": gamma,
             "delta_split": args.delta_split,
             "amplification": args.amplification,
-            "manifest": _manifest("calibrate", params, args.seed, started),
+            "manifest": _manifest(args, started),
         }
     )
     return EXIT_OK
@@ -287,13 +280,6 @@ def cmd_flow(args) -> int:
         raise
     _write_trace(out, trace)
     save_csv(EmpiricalMeasure(trace.final_points), out / "particles.csv")
-    params = {
-        "source": str(args.source), "target": str(args.target),
-        "iters": args.iters, "lr": args.lr, "k": args.k, "sigma": args.sigma,
-        "normalize": args.normalize, "batch": args.batch,
-        "delta": args.delta, "delta_split": args.delta_split, "bound": args.bound,
-        "log_every": args.log_every, "out": str(args.out), "header": args.header,
-    }
     _emit(
         {
             "final_loss": float(trace.losses[-1]),
@@ -303,7 +289,7 @@ def cmd_flow(args) -> int:
             "delta": trace.delta,
             "best_order": trace.best_order,
             "sensitivity_w": trace.sensitivity.w if trace.sensitivity else None,
-            "manifest": _manifest("flow", params, args.seed, started),
+            "manifest": _manifest(args, started),
         }
     )
     return EXIT_OK
@@ -320,17 +306,21 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads", type=int, default=1, help="accepted for compatibility; never changes results"
     )
+    inputs = argparse.ArgumentParser(add_help=False)  # the two-CSV subcommands
+    inputs.add_argument("--sigma", type=float, default=0.0)
+    inputs.add_argument("--normalize", default=None, metavar="max|clip:C")
+    inputs.add_argument("--header", action="store_true", help="skip one header line in the CSVs")
+    schedule = argparse.ArgumentParser(add_help=False)  # the accounted subcommands
+    schedule.add_argument("--delta-split", type=float, default=0.5)
+    schedule.add_argument("--bound", choices=list(TAIL_BOUNDS), default="bernstein")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("compute", parents=[common], help="SWD / DP-SWD between two CSV datasets")
+    p = sub.add_parser("compute", parents=[common, inputs], help="SWD / DP-SWD between two CSV datasets")
     p.add_argument("--a", required=True, help="first (public) dataset CSV")
     p.add_argument("--b", required=True, help="second (private) dataset CSV")
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--sides", choices=["both", "target-only"], default="both")
-    p.add_argument("--normalize", default=None, metavar="max|clip:C")
-    p.add_argument("--header", action="store_true", help="skip one header line in the CSVs")
+    p.add_argument("--sides", choices=NOISE_SIDES, default="both")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("sensitivity", parents=[common], help="simulate the squared sensitivity")
@@ -351,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="optional output directory for toy.csv")
     p.set_defaults(func=cmd_toy)
 
-    p = sub.add_parser("calibrate", parents=[common], help="noise level for an (eps, delta) budget")
+    p = sub.add_parser("calibrate", parents=[common, schedule], help="noise level for an (eps, delta) budget")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--dim", type=int, required=True)
@@ -359,29 +349,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--epochs", type=int, required=True)
     p.add_argument("--batch", type=int, required=True)
-    p.add_argument("--bound", choices=["bernstein", "clt"], default="bernstein")
     p.add_argument(
-        "--amplification", choices=["subsample", "poisson", "none"], default="subsample",
+        "--amplification", choices=AMPLIFICATION_MODES, default="subsample",
         help="subsampling bound: without-replacement (default), Poisson, or none",
     )
-    p.add_argument("--delta-split", type=float, default=0.5, dest="delta_split")
     p.add_argument("--orders", choices=["default", "dense"], default="default")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("flow", parents=[common], help="particle descent toward a private target")
+    p = sub.add_parser("flow", parents=[common, inputs, schedule], help="particle descent toward a private target")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--lr", type=float, required=True)
     p.add_argument("--k", type=int, default=100)
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--normalize", default=None, metavar="max|clip:C")
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--delta", type=float, default=1e-5)
-    p.add_argument("--delta-split", type=float, default=0.5, dest="delta_split")
-    p.add_argument("--bound", choices=["bernstein", "clt"], default="bernstein")
-    p.add_argument("--log-every", type=int, default=10, dest="log_every")
-    p.add_argument("--header", action="store_true")
+    p.add_argument("--log-every", type=int, default=10)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_flow)
     return parser

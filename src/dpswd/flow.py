@@ -23,7 +23,7 @@ import numpy as np
 from .accountant import DIRECTION_POLICIES, PrivacyBudget, account, charged_bound
 from .measures import EmpiricalMeasure, check_privacy_normalized
 from .randomness import PURPOSE_DATA, Seed, derive_seed, substream
-from .sensitivity import SensitivityBound
+from .sensitivity import TAIL_BOUNDS, SensitivityBound
 from .sliced_distance import SwdConfig, value_and_gradient
 
 DIVERGENCE_LIMIT = 1e6
@@ -56,14 +56,14 @@ class FlowConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.log_every < 1:
             raise ValueError(f"log_every must be >= 1, got {self.log_every}")
         if self.seed_policy not in DIRECTION_POLICIES:
             raise ValueError(f"seed_policy must be one of {DIRECTION_POLICIES}, got {self.seed_policy!r}")
-        if self.bound_kind not in ("bernstein", "clt"):
-            raise ValueError(f"bound_kind must be 'bernstein' or 'clt', got {self.bound_kind!r}")
+        if self.bound_kind not in TAIL_BOUNDS:
+            raise ValueError(f"bound_kind must be one of {tuple(TAIL_BOUNDS)}, got {self.bound_kind!r}")
 
 
 @dataclass(frozen=True)

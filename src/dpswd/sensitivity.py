@@ -176,8 +176,7 @@ def summarize_simulation(
             "delta": delta,
             "empirical_quantile": float(np.quantile(samples, 1.0 - delta)),
             # the analytic bounds assume d >= 2 (at d=1 the sum is exactly k)
-            "bernstein": bernstein_bound(k, d, delta).w if d >= 2 else None,
-            "clt": clt_bound(k, d, delta).w if d >= 2 else None,
+            **{kind: bound(k, d, delta).w if d >= 2 else None for kind, bound in TAIL_BOUNDS.items()},
         }
         summary["levels"].append(level)
     return summary

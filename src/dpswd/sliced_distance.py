@@ -31,6 +31,8 @@ from .randomness import (
 )
 from .wasserstein1d import per_row_costs
 
+NOISE_SIDES = ("both", "target-only")
+
 
 @dataclass(frozen=True)
 class SwdConfig:
@@ -57,8 +59,8 @@ class SwdConfig:
             raise ValueError(f"q must be finite and >= 1, got {self.q}")
         if not 0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if self.noise_sides not in ("both", "target-only"):
-            raise ValueError(f"noise_sides must be 'both' or 'target-only', got {self.noise_sides!r}")
+        if self.noise_sides not in NOISE_SIDES:
+            raise ValueError(f"noise_sides must be one of {NOISE_SIDES}, got {self.noise_sides!r}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,32 @@ import pytest
 from jsonschema import Draft7Validator
 
 import dpswd
-from dpswd.cli import _parse_grid
+from dpswd.cli import _parse_grid, build_parser
 
 SCHEMA_DIR = Path(dpswd.__file__).parent / "schemas"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# one seeded run per subcommand, as argv built from (data dir, output dir)
+SUBCOMMAND_RUNS = pytest.mark.parametrize(
+    "argv_fn",
+    [
+        lambda d, o: ["compute", "--a", str(d / "a.csv"), "--b", str(d / "b.csv"),
+                      "--k", "32", "--seed", "11"],
+        lambda d, o: ["compute", "--a", str(d / "a.csv"), "--b", str(d / "b.csv"),
+                      "--k", "32", "--sigma", "0.7", "--normalize", "max", "--seed", "11"],
+        lambda d, o: ["sensitivity", "--d", "100", "--k", "50", "--trials", "500",
+                      "--seed", "11", "--out", str(o / "s")],
+        lambda d, o: ["toy", "--d", "3", "--n", "30", "--k", "8", "--sigma", "1",
+                      "--grid", "0:0.2:0.1", "--repeats", "2", "--seed", "11"],
+        lambda d, o: ["calibrate", "--eps", "5", "--delta", "1e-5", "--dim", "100",
+                      "--k", "64", "--n", "2000", "--epochs", "2", "--batch", "200",
+                      "--seed", "11"],
+        lambda d, o: ["flow", "--source", str(d / "src2d.csv"),
+                      "--target", str(d / "tgt2d.csv"), "--iters", "10", "--lr", "0.5",
+                      "--k", "8", "--seed", "11", "--out", str(o / "f")],
+    ],
+    ids=["compute", "compute-dp", "sensitivity", "toy", "calibrate", "flow"],
+)
 
 
 def run_cli(*argv, cwd=None):
@@ -213,6 +237,22 @@ class TestToyCmd:
         r = run_cli("toy", "--grid", "1:0:0.1", "--seed", "0")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("grid", ["0:inf:1", "0:1:nan"])
+    def test_non_finite_grid_is_usage_error(self, grid):
+        r = run_cli("toy", "--grid", grid, "--seed", "0")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert f"must be finite, got {grid!r}" in r.stderr
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", ["--n", "--d"])
+    def test_count_below_one_is_usage_error(self, flag, value):
+        r = run_cli("toy", flag, value, "--k", "4", "--repeats", "1", "--seed", "9")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert f"{flag} must be >= 1, got {value}" in r.stderr
+
     @pytest.mark.parametrize("text, count", [("0:1:0.35", 3), ("0:0.3:0.1", 4), ("0:1:0.1", 11),
                                              ("0:0.4:0.2", 3), ("0.2:0.4:0.1", 3), ("1:1:0.5", 1)])
     def test_grid_ends_at_or_before_stop(self, text, count):
@@ -361,6 +401,17 @@ class TestFlowCmd:
         assert "log_every must be >= 1" in r.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_usage_error(self, data_dir, tmp_path, value):
+        out = tmp_path / "x"
+        r = run_cli("flow", "--source", str(data_dir / "src2d.csv"),
+                    "--target", str(data_dir / "tgt2d.csv"),
+                    "--iters", "1", "--lr", value, "--out", str(out))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "learning_rate must be finite and > 0" in r.stderr
+        assert not out.exists()
+
     def test_diverging_flow_exits_cleanly_with_partial_trace(self, data_dir, tmp_path):
         out = tmp_path / "diverged"
         r = run_cli("flow", "--source", str(data_dir / "src2d.csv"),
@@ -403,26 +454,7 @@ class TestDeterminism:
         assert r.returncode == 0
         assert dpswd.__version__ in r.stdout
 
-    @pytest.mark.parametrize(
-        "argv_fn",
-        [
-            lambda d, o: ["compute", "--a", str(d / "a.csv"), "--b", str(d / "b.csv"),
-                          "--k", "32", "--seed", "11"],
-            lambda d, o: ["compute", "--a", str(d / "a.csv"), "--b", str(d / "b.csv"),
-                          "--k", "32", "--sigma", "0.7", "--normalize", "max", "--seed", "11"],
-            lambda d, o: ["sensitivity", "--d", "100", "--k", "50", "--trials", "500",
-                          "--seed", "11", "--out", str(o / "s")],
-            lambda d, o: ["toy", "--d", "3", "--n", "30", "--k", "8", "--sigma", "1",
-                          "--grid", "0:0.2:0.1", "--repeats", "2", "--seed", "11"],
-            lambda d, o: ["calibrate", "--eps", "5", "--delta", "1e-5", "--dim", "100",
-                          "--k", "64", "--n", "2000", "--epochs", "2", "--batch", "200",
-                          "--seed", "11"],
-            lambda d, o: ["flow", "--source", str(d / "src2d.csv"),
-                          "--target", str(d / "tgt2d.csv"), "--iters", "10", "--lr", "0.5",
-                          "--k", "8", "--seed", "11", "--out", str(o / "f")],
-        ],
-        ids=["compute", "compute-dp", "sensitivity", "toy", "calibrate", "flow"],
-    )
+    @SUBCOMMAND_RUNS
     def test_identical_output_across_runs_and_threads(self, data_dir, tmp_path, argv_fn):
         # identical arguments (including --out) with varying --threads; file
         # contents are snapshotted after each run before the next overwrites
@@ -443,6 +475,19 @@ class TestDeterminism:
             assert len(variants) == 3
             assert variants[0] == variants[1] == variants[2]
 
+    @SUBCOMMAND_RUNS
+    def test_manifest_echoes_parsed_arguments(self, data_dir, tmp_path, argv_fn):
+        argv = argv_fn(data_dir, tmp_path) + ["--threads", "4"]
+        r = run_cli(*argv)
+        assert r.returncode == 0, r.stderr
+        manifest = json.loads(r.stdout)["manifest"]
+        parsed = vars(build_parser().parse_args(argv))
+        assert manifest["subcommand"] == parsed.pop("subcommand")
+        assert manifest["seed"] == parsed.pop("seed")
+        for name in ("func", "threads"):
+            parsed.pop(name)
+        assert manifest["params"] == parsed
+
     def test_csvs_are_rfc4180_parseable(self, data_dir, tmp_path):
         import csv as csvmod
 
@@ -454,3 +499,19 @@ class TestDeterminism:
         assert rows[0] == ["trial", "h"]
         assert len(rows) == 21
         assert all(len(r) == 2 for r in rows)
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """Each `dpswd ...` command of the README's CLI block, as argv."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("dpswd ")]
+
+
+def test_readme_cli_examples_parse():
+    examples = readme_cli_examples()
+    assert {argv[0] for argv in examples} == {"compute", "sensitivity", "toy", "calibrate", "flow"}
+    parser = build_parser()
+    for argv in examples:
+        parser.parse_args(argv)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,11 @@ class TestRunFlow:
     def test_log_every_below_one_rejected(self, log_every):
         with pytest.raises(ValueError, match="log_every must be >= 1"):
             FlowConfig(iterations=5, learning_rate=0.1, log_every=log_every)
+
+    @pytest.mark.parametrize("learning_rate", [math.nan, math.inf])
+    def test_non_finite_learning_rate_rejected(self, learning_rate):
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            FlowConfig(iterations=5, learning_rate=learning_rate)
 
     def test_divergence_detection(self):
         src, tgt = cloud(10, 2, 12, shift=3.0), cloud(10, 2, 13)
