@@ -36,6 +36,13 @@ Both are capped by the unamplified curve (subsampling never hurts), reduce
 to it exactly at g = 1, and evaluate non-integer orders at the next larger
 integer (valid since Renyi divergence is nondecreasing in the order).
 
+Only eps(j) depends on sigma. The rest of each term, log C(alpha, j) +
+j log g and Poisson's (alpha - j) log(1 - g), together with the map from
+grid orders to integer orders, depends only on (order grid, g, method).
+It is built once per such key and kept, read-only, in a small cache, so
+the evaluations of one calibration reuse it and each computes only the
+sigma-dependent coefficients and the log-sum-exp.
+
 Random directions and the sensitivity tail. A "bernstein" or "clt" bound
 w(k, d, p) on the squared sensitivity holds with probability >= 1 - p over
 one draw of the k directions U; given a U on which it holds, one step is a
@@ -60,6 +67,7 @@ charged as given under either policy, and so is every T = 1 schedule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -164,16 +172,75 @@ def gaussian_rdp(spec: MechanismSpec, orders=None) -> RdpCurve:
     return RdpCurve(o, o * spec.sensitivity_sq / (2.0 * spec.sigma**2))
 
 
+@dataclass(frozen=True)
+class _AmplificationTable:
+    """The sigma-independent part of both subsampling bounds, read-only."""
+
+    alphas: np.ndarray  # distinct integer orders the grid needs, ascending
+    row: np.ndarray  # grid position -> index into alphas
+    j: np.ndarray  # 0..max alpha
+    log_weight: np.ndarray  # (alphas x j): log C(alpha, j) + j log g; -inf for j > alpha
+    log_keep: np.ndarray | None  # "poisson" only: (alpha - j) log(1 - g)
+
+
+_EXP_ZERO = -746.0  # float64 exp underflows to exactly +0.0 below about -745.13
+
+
+@functools.lru_cache(maxsize=8)
+def _amplification_table(grid: bytes, gamma: float, method: str) -> _AmplificationTable:
+    """Table for the float64 order grid whose bytes are `grid` (see the module docstring)."""
+    o = np.frombuffer(grid, dtype=float)
+    alphas, row = np.unique(np.maximum(2, np.ceil(o - 1e-12)).astype(int), return_inverse=True)
+    j = np.arange(alphas[-1] + 1)
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(j[1:]))])
+    a = alphas[:, None]
+    inside = j <= a
+    log_binom = np.where(inside, log_fact[a] - log_fact[j] - log_fact[np.maximum(a - j, 0)], -np.inf)
+    log_weight = log_binom + j * math.log(gamma)
+    log_keep = (a - j) * math.log1p(-gamma) if method == "poisson" else None
+    table = _AmplificationTable(alphas, row, j, log_weight, log_keep)
+    for arr in vars(table).values():
+        if arr is not None:
+            arr.flags.writeable = False
+    return table
+
+
+def _amplified_integer_rdp(table: _AmplificationTable, eps_j: np.ndarray, method: str) -> np.ndarray:
+    """Bound at each of table.alphas from the base curve's values eps(0..max alpha).
+
+    The "poisson" exponent (j - 1) eps(j) holds for the Gaussian base only.
+    """
+    j = table.j
+    if method == "subsample":
+        # j = 0 is the leading 1; j = 1 has no term; j = 2 has the
+        # coefficient min(4(e^{e2}-1), 2 e^{e2}), the second once e2 >= ln 2
+        e2 = eps_j[2]
+        log_c2 = math.log(2.0) + e2 if e2 >= math.log(2.0) else math.log(4.0 * math.expm1(e2))
+        log_coef = np.concatenate([[0.0, -np.inf, log_c2], math.log(2.0) + (j[3:] - 1) * eps_j[3:]])
+    else:
+        log_coef = table.log_keep + (j - 1) * eps_j
+    terms = table.log_weight + log_coef
+    hi = terms.max(axis=1)
+    terms -= hi[:, None]
+    # exp is exactly +0.0 at or below _EXP_ZERO, so those entries (the -inf
+    # padding past each row's order among them) stay zero unevaluated
+    weights = np.zeros_like(terms)
+    np.exp(terms, out=weights, where=terms > _EXP_ZERO)
+    log_a = hi + np.log(weights.sum(axis=1))
+    return np.maximum(log_a, 0.0) / (table.alphas - 1)
+
+
 def subsampled_rdp(
     spec: MechanismSpec, gamma: float, orders=None, method: str = "subsample"
 ) -> RdpCurve:
     """RDP curve of the subsampled mechanism at sampling rate gamma.
 
     gamma = 1 returns the unamplified curve exactly. All the integer
-    orders the grid needs are evaluated at once (see the module
-    docstring); the "poisson" form is valid for the Gaussian only.
-    Fractional orders are charged the bound at the next larger integer,
-    then capped by the unamplified value at the fractional order itself.
+    orders the grid needs are evaluated at once from the cached table for
+    (grid, gamma, method) (see the module docstring); the "poisson" form
+    is valid for the Gaussian only. Fractional orders are charged the
+    bound at the next larger integer, then capped by the unamplified value
+    at the fractional order itself.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
@@ -183,26 +250,10 @@ def subsampled_rdp(
     base = gaussian_rdp(spec, o)
     if gamma == 1.0:
         return base
-    alphas, row = np.unique(np.maximum(2, np.ceil(o - 1e-12)).astype(int), return_inverse=True)
-    j = np.arange(alphas[-1] + 1)
-    eps_j = j * (spec.sensitivity_sq / (2.0 * spec.sigma**2))
-    log_fact = np.concatenate([[0.0], np.cumsum(np.log(j[1:]))])
-    a = alphas[:, None]
-    inside = j <= a
-    log_binom = np.where(inside, log_fact[a] - log_fact[j] - log_fact[np.maximum(a - j, 0)], -np.inf)
-    if method == "subsample":
-        # j = 0 is the leading 1; j = 1 has no term; j = 2 has the
-        # coefficient min(4(e^{e2}-1), 2 e^{e2}), the second once e2 >= ln 2
-        e2 = eps_j[2]
-        log_c2 = math.log(2.0) + e2 if e2 >= math.log(2.0) else math.log(4.0 * math.expm1(e2))
-        log_coef = np.concatenate([[0.0, -np.inf, log_c2], math.log(2.0) + (j[3:] - 1) * eps_j[3:]])
-    else:
-        log_coef = (a - j) * math.log1p(-gamma) + (j - 1) * eps_j
-    terms = log_binom + j * math.log(gamma) + log_coef
-    hi = terms.max(axis=1)
-    log_a = hi + np.log(np.exp(terms - hi[:, None]).sum(axis=1))
-    eps_int = np.maximum(log_a, 0.0) / (alphas - 1)
-    return RdpCurve(o, np.minimum(eps_int[row], base.eps_at_order))
+    table = _amplification_table(base.orders.tobytes(), gamma, method)
+    eps_j = table.j * (spec.sensitivity_sq / (2.0 * spec.sigma**2))
+    eps_int = _amplified_integer_rdp(table, eps_j, method)
+    return RdpCurve(o, np.minimum(eps_int[table.row], base.eps_at_order))
 
 
 def compose(curve: RdpCurve, steps: int) -> RdpCurve:
@@ -296,12 +347,16 @@ def calibrate_sigma(
     amplification: str = "subsample",
     directions: str = "fresh",
 ) -> CalibrationResult:
-    """Smallest noise level meeting the budget, by bisection on sigma.
+    """Smallest noise level in [1e-3, 1e3] meeting the budget, by bisection.
 
     The achieved eps is monotone decreasing in sigma, so 60 bisection steps
     on [1e-3, 1e3] pin the crossing to far below the 1e-4 relative
     contract; the returned sigma always satisfies account(sigma) <=
-    eps_target. The bound is charged for the direction policy once, up
+    eps_target. A budget that the bracket floor sigma = 1e-3 already meets
+    is clamped: the floor is returned, though a smaller sigma may meet it
+    too. Each bisection step is one account() evaluation; the
+    sigma-independent amplification table is built by the first and reused
+    by the rest. The bound is charged for the direction policy once, up
     front: charging that per-draw bound as given ("fixed") yields exactly
     the eps of the requested policy at every sigma. Raises
     InfeasibleBudgetError when even the largest sigma in the bracket cannot
@@ -320,7 +375,8 @@ def calibrate_sigma(
             f"{eps_hi:.6g} (sigma={_SIGMA_HI}) to {eps_lo:.6g} (sigma={_SIGMA_LO})"
         )
     if eps_lo <= budget.eps_target:
-        # even the smallest sigma overshoots the privacy target
+        # the bracket floor already meets the target: clamp to it rather
+        # than search below it
         eps, order = evaluate(_SIGMA_LO)
         return CalibrationResult(_SIGMA_LO, eps, order, charged, amplification)
     lo, hi = _SIGMA_LO, _SIGMA_HI

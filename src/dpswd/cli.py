@@ -63,8 +63,11 @@ def _parse_seed(text: str) -> int:
     return value & ((1 << 64) - 1)
 
 
+GRID_MAX_POINTS = 10_000  # each toy grid point costs 2 x --repeats sliced distances
+
+
 def _parse_grid(text: str) -> list[float]:
-    """Inclusive start:stop:step grid, e.g. 0:1:0.1 -> 11 points."""
+    """Inclusive start:stop:step grid, e.g. 0:1:0.1 -> 11 points, at most GRID_MAX_POINTS."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must be start:stop:step, got {text!r}")
@@ -77,7 +80,10 @@ def _parse_grid(text: str) -> list[float]:
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"grid must advance from start to stop, got {text!r}")
     # the tolerance keeps a stop that the steps reach up to rounding, e.g. 0:0.3:0.1
-    count = math.floor((stop - start) / step + 1e-9) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < GRID_MAX_POINTS:  # an infinite quotient included
+        raise argparse.ArgumentTypeError(f"grid has more than {GRID_MAX_POINTS} points: {text!r}")
+    count = math.floor(span) + 1
     return [min(start + i * step, stop) for i in range(count)]
 
 
@@ -259,7 +265,6 @@ def _write_trace(out: Path, trace) -> None:
 
 def cmd_flow(args) -> int:
     started = time.perf_counter()
-    source, target = _load_inputs(args, args.source, args.target)
     cfg = FlowConfig(
         iterations=args.iters,
         learning_rate=args.lr,
@@ -272,6 +277,7 @@ def cmd_flow(args) -> int:
         delta_split=args.delta_split,
         bound_kind=args.bound,
     )
+    source, target = _load_inputs(args, args.source, args.target)
     out = Path(args.out)
     try:
         trace = run_flow(source, target, cfg)
@@ -336,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--grid", default="0:1:0.1", metavar="START:STOP:STEP")
+    p.add_argument("--grid", default="0:1:0.1", metavar="START:STOP:STEP",
+                   help=f"inclusive grid of shifts c, at most {GRID_MAX_POINTS} points")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--out", default=None, help="optional output directory for toy.csv")
     p.set_defaults(func=cmd_toy)

@@ -23,7 +23,7 @@ import numpy as np
 from .accountant import DIRECTION_POLICIES, PrivacyBudget, account, charged_bound
 from .measures import EmpiricalMeasure, check_privacy_normalized
 from .randomness import PURPOSE_DATA, Seed, derive_seed, substream
-from .sensitivity import TAIL_BOUNDS, SensitivityBound
+from .sensitivity import TAIL_BOUNDS, SensitivityBound, check_delta
 from .sliced_distance import SwdConfig, value_and_gradient
 
 DIVERGENCE_LIMIT = 1e6
@@ -62,6 +62,9 @@ class FlowConfig:
             raise ValueError(f"log_every must be >= 1, got {self.log_every}")
         if self.seed_policy not in DIRECTION_POLICIES:
             raise ValueError(f"seed_policy must be one of {DIRECTION_POLICIES}, got {self.seed_policy!r}")
+        check_delta(self.delta)
+        if not 0.0 <= self.delta_split < 1.0:
+            raise ValueError(f"delta_split must lie in [0, 1), got {self.delta_split}")
         if self.bound_kind not in TAIL_BOUNDS:
             raise ValueError(f"bound_kind must be one of {tuple(TAIL_BOUNDS)}, got {self.bound_kind!r}")
 

@@ -134,6 +134,41 @@ class TestSubsampledRdpOracle:
         assert curve.eps_at_order == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
+def full_array_rdp(sigma, w, gamma, orders, method):
+    """The bounds as one uncached (orders x j) log-sum-exp with every entry
+    exponentiated: the evaluation the cached table must reproduce bit for bit."""
+    o = np.asarray(orders, dtype=float)
+    alphas, row = np.unique(np.maximum(2, np.ceil(o - 1e-12)).astype(int), return_inverse=True)
+    j = np.arange(alphas[-1] + 1)
+    eps_j = j * (w / (2.0 * sigma**2))
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(j[1:]))])
+    a = alphas[:, None]
+    log_binom = np.where(j <= a, log_fact[a] - log_fact[j] - log_fact[np.maximum(a - j, 0)], -np.inf)
+    if method == "subsample":
+        e2 = eps_j[2]
+        log_c2 = math.log(2.0) + e2 if e2 >= math.log(2.0) else math.log(4.0 * math.expm1(e2))
+        log_coef = np.concatenate([[0.0, -np.inf, log_c2], math.log(2.0) + (j[3:] - 1) * eps_j[3:]])
+    else:
+        log_coef = (a - j) * math.log1p(-gamma) + (j - 1) * eps_j
+    terms = log_binom + j * math.log(gamma) + log_coef
+    hi = terms.max(axis=1)
+    log_a = hi + np.log(np.exp(terms - hi[:, None]).sum(axis=1))
+    return np.minimum((np.maximum(log_a, 0.0) / (alphas - 1))[row], o * w / (2.0 * sigma**2))
+
+
+class TestSubsampledRdpFullArray:
+    @pytest.mark.parametrize("method", ["subsample", "poisson"])
+    @pytest.mark.parametrize("gamma", [100 / 60000, 256 / 162000, 0.01, 0.3])
+    @pytest.mark.parametrize("grid", [acc.default_orders(), acc.dense_orders()], ids=["default", "dense"])
+    def test_bit_identical(self, grid, gamma, method):
+        for sigma in np.geomspace(1e-3, 1e3, 31):
+            for w in (0.3, 17.136):
+                spec = acc.MechanismSpec(sigma=float(sigma), sensitivity_sq=w)
+                curve = acc.subsampled_rdp(spec, gamma, grid, method=method)
+                expected = full_array_rdp(float(sigma), w, gamma, grid, method)
+                assert np.array_equal(curve.eps_at_order, expected), (sigma, w)
+
+
 class TestCompose:
     def test_identity_and_scaling(self):
         curve = acc.RdpCurve(np.array([2.0, 3.0]), np.array([0.01, 0.02]))
@@ -247,6 +282,17 @@ class TestCalibration:
         direct = orders * bound.w / (2 * sigma**2) + math.log(2 / delta) / (orders - 1)
         assert eps == pytest.approx(direct.min(), abs=1e-9)
 
+    def test_budget_met_at_bracket_floor_returns_the_floor(self):
+        budget = acc.PrivacyBudget(
+            eps_target=1e13, delta_target=1e-5, steps=1, sampling_rate=1.0, delta_split=0.0
+        )
+        bound = fixed_sensitivity(1.0)
+        result = acc.calibrate_sigma(budget, bound)
+        assert result.sigma == 1e-3
+        assert (result.eps_achieved, result.best_order) == acc.account(1e-3, budget, bound)
+        # the floor is a clamp: a smaller sigma meets this budget too
+        assert acc.account(1e-4, budget, bound)[0] <= budget.eps_target
+
     def test_infeasible_budget_reports_ends(self):
         budget = acc.PrivacyBudget(
             eps_target=0.01, delta_target=1e-7, steps=10**6, sampling_rate=1.0, delta_split=0.0
@@ -276,6 +322,130 @@ class TestCalibration:
         assert orders[-1] == 256.0
         assert np.all(np.diff(orders) > 0)
         assert set(range(2, 65)) <= {int(o) for o in orders if o == int(o)}
+
+
+# The four reference schedules (criterion 7's rows): d, k, n, epochs, batch, delta, bound.
+REFERENCE_ROWS = {
+    "mnist-bernstein": (784, 1000, 60000, 100, 100, 1e-5, bernstein_bound),
+    "mnist-clt": (784, 1000, 60000, 100, 100, 1e-5, clt_bound),
+    "celeba-bernstein": (8192, 2000, 162000, 100, 256, 1e-6, bernstein_bound),
+    "celeba-clt": (8192, 2000, 162000, 100, 256, 1e-6, clt_bound),
+}
+
+# calibrate_sigma at eps = 10, delta_split = 0.5, fresh directions, as
+# computed by the log-sum-exp over the full (orders x j) array before the
+# amplification table was cached; every later build must give these bits.
+CALIBRATION_PINS = [
+    ("mnist-bernstein", "subsample", "default", 2.8571773283845285, 9.999999999998991, 4.0),
+    ("mnist-bernstein", "subsample", "dense", 2.8571773283845285, 9.999999999998991, 4.0),
+    ("mnist-bernstein", "poisson", "default", 2.5214686729722793, 9.999999999993566, 3.0),
+    ("mnist-bernstein", "poisson", "dense", 2.5214686729722793, 9.999999999993566, 3.0),
+    ("mnist-bernstein", "none", "default", 588.7946772284032, 10.0, 4.0),
+    ("mnist-bernstein", "none", "dense", 588.7509597948543, 10.0, 3.75),
+    ("mnist-clt", "subsample", "default", 0.8837197533672079, 9.999999999998991, 4.0),
+    ("mnist-clt", "subsample", "dense", 0.8837197533672079, 9.999999999998991, 4.0),
+    ("mnist-clt", "poisson", "default", 0.7798856765611006, 9.999999999993566, 3.0),
+    ("mnist-clt", "poisson", "dense", 0.7798856765611006, 9.999999999993566, 3.0),
+    ("mnist-clt", "none", "default", 182.1131232475542, 10.0, 4.0),
+    ("mnist-clt", "none", "dense", 182.09960152483512, 10.0, 3.75),
+    ("celeba-bernstein", "subsample", "default", 2.921190671039332, 9.999999999999645, 4.0),
+    ("celeba-bernstein", "subsample", "dense", 2.921190671039332, 9.999999999999645, 4.0),
+    ("celeba-bernstein", "poisson", "default", 2.5988822393082973, 9.999999999996382, 4.0),
+    ("celeba-bernstein", "poisson", "dense", 2.5988822393082973, 9.999999999996382, 4.0),
+    ("celeba-bernstein", "none", "default", 651.521150350173, 10.0, 4.0),
+    ("celeba-bernstein", "none", "dense", 648.6146939945993, 10.0, 4.25),
+    ("celeba-clt", "subsample", "default", 0.3817595535386274, 9.999999999999645, 4.0),
+    ("celeba-clt", "subsample", "dense", 0.3817595535386274, 9.999999999999645, 4.0),
+    ("celeba-clt", "poisson", "default", 0.3396382623065161, 9.999999999996382, 4.0),
+    ("celeba-clt", "poisson", "dense", 0.3396382623065161, 9.999999999996382, 4.0),
+    ("celeba-clt", "none", "default", 85.14487806102738, 10.0, 4.0),
+    ("celeba-clt", "none", "dense", 84.76504408042366, 10.0, 4.25),
+]
+
+
+def reference_schedule(name, amplification="subsample", orders="default"):
+    """(budget, bound, orders, amplification) of a reference row at eps = 10."""
+    d, k, n, epochs, batch, delta, make = REFERENCE_ROWS[name]
+    budget = acc.PrivacyBudget(eps_target=10.0, delta_target=delta, steps=epochs * (n // batch),
+                               sampling_rate=batch / n, delta_split=0.5)
+    grid = acc.dense_orders() if orders == "dense" else acc.default_orders()
+    return budget, make(k, d, budget.delta_sensitivity), grid, amplification
+
+
+def reference_calibration(*case):
+    budget, bound, grid, amplification = reference_schedule(*case)
+    return acc.calibrate_sigma(budget, bound, orders=grid, amplification=amplification)
+
+
+class TestCalibrationPins:
+    @pytest.mark.parametrize("name, amplification, orders, sigma, eps, order", CALIBRATION_PINS)
+    def test_bit_identical(self, name, amplification, orders, sigma, eps, order):
+        acc._amplification_table.cache_clear()
+        result = reference_calibration(name, amplification, orders)
+        assert (result.sigma, result.eps_achieved, result.best_order) == (sigma, eps, order)
+
+    def test_table_built_once_per_calibration(self):
+        acc._amplification_table.cache_clear()
+        reference_calibration("mnist-clt")
+        info = acc._amplification_table.cache_info()
+        assert info.misses == 1
+        assert info.hits == 2 + 60  # both bracket ends, then every bisection step
+        reference_calibration("mnist-bernstein")  # same grid and gamma: same table
+        assert acc._amplification_table.cache_info().misses == 1
+
+
+class TestAmplificationTableCache:
+    @pytest.mark.parametrize("method", ["subsample", "poisson"])
+    def test_cached_arrays_are_read_only(self, method):
+        acc.subsampled_rdp(acc.MechanismSpec(sigma=1.0, sensitivity_sq=1.0), 0.01, method=method)
+        table = acc._amplification_table(acc.default_orders().tobytes(), 0.01, method)
+        arrays = [table.alphas, table.row, table.j, table.log_weight, table.log_keep]
+        for arr in arrays[:4] + ([arrays[4]] if method == "poisson" else []):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_curve_does_not_alias_the_table(self):
+        spec = acc.MechanismSpec(sigma=1.0, sensitivity_sq=1.0)
+        curve = acc.subsampled_rdp(spec, 0.01)
+        curve.eps_at_order[:] = 0.0
+        assert (acc.subsampled_rdp(spec, 0.01).eps_at_order > 0).all()
+
+    def test_interleaved_schedules_match_each_alone(self):
+        # different gamma, grid and method, evaluated in turn at each sigma,
+        # so every evaluation switches tables
+        cases = [("mnist-clt", "subsample", "default"), ("celeba-bernstein", "poisson", "dense")]
+        sigmas = np.geomspace(1e-3, 1e3, 25)
+
+        def evaluate(case, sigma):
+            budget, bound, grid, amplification = reference_schedule(*case)
+            return acc.account(sigma, budget, bound, grid, amplification)
+
+        alone = {}
+        for case in cases:
+            acc._amplification_table.cache_clear()
+            alone[case] = [evaluate(case, sigma) for sigma in sigmas]
+        acc._amplification_table.cache_clear()
+        interleaved = {case: [] for case in cases}
+        for sigma in sigmas:
+            for case in cases:
+                interleaved[case].append(evaluate(case, sigma))
+        assert interleaved == alone
+        # a calibration on a cache that holds the other schedule's table
+        for case, other in (cases, cases[::-1]):
+            acc._amplification_table.cache_clear()
+            cold = reference_calibration(*case)
+            reference_calibration(*other)
+            assert reference_calibration(*case) == cold
+
+    def test_evicted_tables_rebuild_identically(self):
+        spec = acc.MechanismSpec(sigma=0.9, sensitivity_sq=3.0)
+        acc._amplification_table.cache_clear()
+        gammas = [1.0 / m for m in range(20, 40)]  # more keys than the cache holds
+        first = [acc.subsampled_rdp(spec, g).eps_at_order for g in gammas]
+        again = [acc.subsampled_rdp(spec, g).eps_at_order for g in gammas]
+        assert acc._amplification_table.cache_info().currsize < len(gammas)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
 class TestDirectionPolicy:

@@ -9,7 +9,7 @@ import pytest
 from jsonschema import Draft7Validator
 
 import dpswd
-from dpswd.cli import _parse_grid, build_parser
+from dpswd.cli import GRID_MAX_POINTS, _parse_grid, build_parser
 
 SCHEMA_DIR = Path(dpswd.__file__).parent / "schemas"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -245,6 +245,19 @@ class TestToyCmd:
         assert "Traceback" not in r.stderr
         assert f"must be finite, got {grid!r}" in r.stderr
 
+    @pytest.mark.parametrize("grid", ["0:1e300:1e-300", "0:1e12:1", f"0:{GRID_MAX_POINTS}:1"])
+    def test_grid_over_point_cap_is_usage_error(self, grid):
+        r = run_cli("toy", "--grid", grid, "--seed", "0")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert f"grid has more than {GRID_MAX_POINTS} points: {grid!r}" in r.stderr
+
+    def test_grid_at_point_cap_is_accepted(self):
+        grid = _parse_grid(f"0:{GRID_MAX_POINTS - 1}:1")
+        assert len(grid) == GRID_MAX_POINTS
+        assert grid[-1] == GRID_MAX_POINTS - 1
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize("flag", ["--n", "--d"])
     def test_count_below_one_is_usage_error(self, flag, value):
@@ -325,6 +338,16 @@ class TestCalibrateCmd:
         assert f"{flag} must be >= 1" in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_budget_met_at_bracket_floor_is_clamped(self):
+        # sigma = 1e-3 already meets eps = 1e13; the floor is reported, not searched below
+        r = run_cli("calibrate", "--eps", "1e13", "--delta", "1e-5", "--dim", "784",
+                    "--k", "1000", "--n", "60000", "--epochs", "100", "--batch", "100",
+                    "--seed", "0")
+        assert r.returncode == 0
+        payload = json.loads(r.stdout)
+        assert payload["sigma"] == 0.001
+        assert payload["eps_achieved"] <= 1e13
+
     def test_infeasible_budget_exit_code(self):
         r = run_cli("calibrate", "--eps", "0.001", "--delta", "1e-7", "--dim", "50",
                     "--k", "100", "--n", "1000", "--epochs", "1000", "--batch", "1000",
@@ -389,6 +412,31 @@ class TestFlowCmd:
                     "--delta-split", "0", "--out", str(tmp_path / "x"))
         assert r.returncode == 2
         assert "delta_split must be > 0" in r.stderr
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--delta", "5", "delta must lie in (0, 1), got 5.0"),
+        ("--delta", "nan", "delta must lie in (0, 1), got nan"),
+        ("--delta-split", "1", "delta_split must lie in [0, 1), got 1.0"),
+    ])
+    def test_bad_delta_at_sigma_zero_is_usage_error(self, data_dir, tmp_path, flag, value, message):
+        out = tmp_path / "x"
+        r = run_cli("flow", "--source", str(data_dir / "src2d.csv"),
+                    "--target", str(data_dir / "tgt2d.csv"),
+                    "--iters", "5", "--lr", "0.1", flag, value, "--out", str(out))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert message in r.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--delta", "5"), ("--delta-split", "-0.5")])
+    def test_bad_delta_is_refused_before_reading_inputs(self, data_dir, tmp_path, flag, value):
+        # the source does not exist: a read would exit 3 before the check
+        r = run_cli("flow", "--source", str(tmp_path / "missing.csv"),
+                    "--target", str(data_dir / "tgt2d.csv"),
+                    "--iters", "5", "--lr", "0.1", "--sigma", "1.0", "--normalize", "clip:1",
+                    flag, value, "--out", str(tmp_path / "x"))
+        assert r.returncode == 2
+        assert "must lie in" in r.stderr
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_log_every_below_one_is_usage_error(self, data_dir, tmp_path, value):

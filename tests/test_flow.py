@@ -110,6 +110,16 @@ class TestRunFlow:
         with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
             FlowConfig(iterations=5, learning_rate=learning_rate)
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 5.0, math.nan])
+    def test_delta_outside_unit_interval_rejected(self, delta):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            FlowConfig(iterations=5, learning_rate=0.1, delta=delta)
+
+    @pytest.mark.parametrize("delta_split", [-0.5, 1.0, math.nan])
+    def test_delta_split_outside_range_rejected(self, delta_split):
+        with pytest.raises(ValueError, match=r"delta_split must lie in \[0, 1\)"):
+            FlowConfig(iterations=5, learning_rate=0.1, delta_split=delta_split)
+
     def test_divergence_detection(self):
         src, tgt = cloud(10, 2, 12, shift=3.0), cloud(10, 2, 13)
         cfg = FlowConfig(iterations=200, learning_rate=1e6, k=8, sigma=0.0, seed=14, log_every=1)
