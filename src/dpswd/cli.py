@@ -34,7 +34,7 @@ from .flow import FlowConfig, FlowDiverged, run_flow
 from .measures import DataError, load_csv, normalize_for_privacy, save_csv, write_csv_rows
 from .measures import EmpiricalMeasure
 from .randomness import PURPOSE_DATA, derive_seed, substream
-from .sensitivity import TAIL_BOUNDS, check_delta, simulate_sensitivity, summarize_simulation
+from .sensitivity import SUMMARY_DELTAS, TAIL_BOUNDS, check_delta, simulate_sensitivity, summarize_simulation
 from .sliced_distance import NOISE_SIDES, SwdConfig, dp_swd, smoothed_swd, swd
 
 EXIT_OK = 0
@@ -157,8 +157,8 @@ def cmd_sensitivity(args) -> int:
     started = time.perf_counter()
     check_delta(args.delta)
     samples = simulate_sensitivity(args.d, args.k, args.trials, args.seed)
-    summary = summarize_simulation(samples, args.k, args.d)
-    requested = summarize_simulation(samples, args.k, args.d, deltas=(args.delta,))["levels"][0]
+    summary = summarize_simulation(samples, args.k, args.d, deltas=(*SUMMARY_DELTAS, args.delta))
+    *levels, requested = summary["levels"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv_rows(out / "sensitivity_samples.csv", enumerate(samples.tolist()),
@@ -167,7 +167,7 @@ def cmd_sensitivity(args) -> int:
         "empirical_mean": summary["empirical_mean"],
         "expected_mean": summary["expected_mean"],
         "requested": requested,
-        "levels": summary["levels"],
+        "levels": levels,
         "manifest": _manifest(args, started),
     }
     with open(out / "sensitivity_summary.json", "w", encoding="utf-8") as fh:

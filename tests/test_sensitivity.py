@@ -4,23 +4,62 @@ import threading
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dpswd import sensitivity as sens
 from dpswd.randomness import PURPOSE_SENSITIVITY, substream
 
 
 def serial_reference(d: int, k: int, trials: int, seed) -> np.ndarray:
-    """The serial per-chunk loop of 0.3.2, which defines the seeded sample."""
+    """The seeded sample since 0.6.0, one chunk, block and redraw round at a time.
+
+    Chunk i of 1024 trials comes from substream i and is filled 128 rows at
+    a time; each row sums its k Beta(1/2, (d-1)/2) terms.
+    """
     if d == 1:
         return np.full(trials, float(k))
     out = np.empty(trials)
     for chunk_index, start in enumerate(range(0, trials, 1024)):
-        stop = min(start + 1024, trials)
         rng = substream(seed, PURPOSE_SENSITIVITY, chunk_index)
-        g1_sq = rng.standard_normal((stop - start, k)) ** 2
-        rest_sq = rng.chisquare(d - 1, size=(stop - start, k))
-        out[start:stop] = (g1_sq / (g1_sq + rest_sq)).sum(axis=1)
+        stop = min(start + 1024, trials)
+        for lo in range(start, stop, 128):
+            hi = min(lo + 128, stop)
+            out[lo:hi] = reference_terms(rng, hi - lo, k, d).sum(axis=1)
     return out
+
+
+def reference_terms(rng, rows: int, k: int, d: int) -> np.ndarray:
+    """One block of terms: the g^2/(g^2+Q) ratio for d <= 3, else envelope rejection.
+
+    For d >= 4, every pending slot (row-major) draws t^2 = g^2/(d-3) and then
+    E ~ Exp(1), and keeps t^2 iff t^2 < 1 and E >= -c (log1p(-t^2) + t^2).
+    """
+    if d <= 3:
+        g_sq = rng.standard_normal((rows, k)) ** 2
+        return g_sq / (g_sq + rng.chisquare(d - 1, size=(rows, k)))
+    c = (d - 3) / 2
+    terms = np.empty(rows * k)
+    pending = np.arange(rows * k)
+    while pending.size:
+        x = rng.standard_normal(pending.size) ** 2 / (d - 3)
+        e = rng.standard_exponential(pending.size)
+        keep = np.zeros(pending.size, dtype=bool)
+        inside = x < 1
+        keep[inside] = e[inside] >= -c * (np.log1p(-x[inside]) + x[inside])
+        terms[pending[keep]] = x[keep]
+        pending = pending[~keep]
+    return terms.reshape(rows, k)
+
+
+def ratio_oracle(d: int, k: int, trials: int, rng) -> np.ndarray:
+    """H drawn as in 0.5.1: each term g^2/(g^2+Q), g ~ N(0, 1), Q ~ chi-square(d-1)."""
+    g_sq = rng.standard_normal((trials, k)) ** 2
+    return (g_sq / (g_sq + rng.chisquare(d - 1, size=(trials, k)))).sum(axis=1)
+
+
+# fixed before the first run: a correct sampler fails each KS test with
+# probability 1e-3
+KS_P_MIN = 1e-3
 
 
 class TestBetaMoments:
@@ -41,6 +80,12 @@ class TestBetaMoments:
     def test_small_d_rejected(self):
         with pytest.raises(ValueError):
             sens.beta_moments(1)
+
+    def test_non_integer_d_rejected(self):
+        for bad in (784.5, 784.0, True, np.float64(784)):
+            with pytest.raises(ValueError, match="d must be an integer"):
+                sens.beta_moments(bad)
+        assert sens.beta_moments(np.int64(784)) == sens.beta_moments(784)
 
 
 class TestBernsteinBound:
@@ -79,6 +124,15 @@ class TestBernsteinBound:
             sens.bernstein_bound(0, 10, 0.1)
         with pytest.raises(ValueError):
             sens.bernstein_bound(10, 1, 0.1)
+
+    @pytest.mark.parametrize("bound", [sens.bernstein_bound, sens.clt_bound])
+    @pytest.mark.parametrize("k,d", [(10, 784.5), (40.0, 784), (True, 784), (40, np.float32(784))])
+    def test_non_integer_k_or_d_rejected(self, bound, k, d):
+        with pytest.raises(ValueError, match="must be an integer"):
+            bound(k, d, 0.1)
+
+    def test_numpy_integers_accepted(self):
+        assert sens.bernstein_bound(np.int32(40), np.int64(784), 0.1).w == sens.bernstein_bound(40, 784, 0.1).w
 
 
 class TestCltBound:
@@ -153,6 +207,18 @@ class TestSimulation:
         with pytest.raises(ValueError):
             sens.simulate_sensitivity(0, 10, 5, seed=0)
 
+    @pytest.mark.parametrize(
+        "d,k,trials",
+        [(784.5, 10, 5), (True, 3, 2), (784, 10.0, 5), (784, False, 5), (5, 3, 2.0), (np.float64(5), 3, 2)],
+    )
+    def test_non_integer_counts_rejected(self, d, k, trials):
+        with pytest.raises(ValueError, match="must be an integer"):
+            sens.simulate_sensitivity(d, k, trials, seed=1)
+
+    def test_numpy_integer_counts_accepted(self):
+        got = sens.simulate_sensitivity(np.int64(20), np.int32(16), np.int64(1500), seed=5)
+        assert np.array_equal(got, sens.simulate_sensitivity(20, 16, 1500, seed=5))
+
     def test_summary_structure(self):
         h = sens.simulate_sensitivity(50, 32, 2000, seed=9)
         s = sens.summarize_simulation(h, 32, 50)
@@ -163,7 +229,15 @@ class TestSimulation:
             assert lvl["empirical_quantile"] <= lvl["bernstein"]
 
 
-PINNED_CASES = [(20, 16, t) for t in (1, 1023, 1024, 1025, 2500)] + [(784, 200, 5000), (1, 5, 3)]
+# d = 2 and 3 take the ratio branch; at d = 4 the redraw loop runs many
+# rounds and a third of the proposals have t^2 >= 1
+PINNED_CASES = [(20, 16, t) for t in (1, 1023, 1024, 1025, 2500)] + [
+    (784, 200, 5000),
+    (1, 5, 3),
+    (2, 7, 1100),
+    (3, 7, 1100),
+    (4, 16, 2500),
+]
 
 
 class TestConcurrentChunks:
@@ -209,6 +283,31 @@ class TestConcurrentChunks:
         monkeypatch.setattr(sens, "substream", broken_substream)
         with pytest.raises(AttributeError):
             sens.simulate_sensitivity(10, 4, 2048, seed=2)
+
+
+class TestExactness:
+    """The sampler against the Beta law and against the 0.5.1 sampler."""
+
+    @pytest.mark.parametrize("d", [4, 5, 10, 784])
+    def test_single_terms_follow_the_beta_law(self, d):
+        terms = sens.simulate_sensitivity(d, 1, 20_000, seed=31)
+        assert stats.kstest(terms, stats.beta(0.5, (d - 1) / 2).cdf).pvalue > KS_P_MIN
+
+    def test_sum_matches_the_ratio_sampler(self):
+        got = sens.simulate_sensitivity(784, 200, 20_000, seed=32)
+        oracle = ratio_oracle(784, 200, 20_000, np.random.default_rng(33))
+        assert stats.ks_2samp(got, oracle).pvalue > KS_P_MIN
+
+    @pytest.mark.slow
+    def test_clt_shortfall_matches_the_documented_margins(self):
+        # README, "Known-unattainable acceptance checks": the (1-delta)-quantile
+        # of H at k=200, d=784 exceeds the CLT bound by ~0.2% at delta=0.1 and
+        # ~1.2% at delta=0.01; each margin must round to its documented figure
+        d, k = 784, 200
+        h = sens.simulate_sensitivity(d, k, 2_000_000, seed=2)
+        for delta, documented_pct in ((0.1, 0.2), (0.01, 1.2)):
+            excess_pct = 100 * (np.quantile(h, 1 - delta) / sens.clt_bound(k, d, delta).w - 1)
+            assert abs(excess_pct - documented_pct) <= 0.05, (delta, excess_pct)
 
 
 class TestSensitivityBoundType:
