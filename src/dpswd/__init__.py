@@ -6,7 +6,7 @@ Renyi-DP accountant with noise calibration, and a particle-flow demo that
 trains against a private target.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .accountant import (
     CalibrationResult,
@@ -30,11 +30,8 @@ from .measures import (
     EmpiricalMeasure,
     from_points,
     load_csv,
-    load_raw,
     normalize_for_privacy,
-    privacy_scale,
     save_csv,
-    save_raw,
 )
 from .randomness import (
     Seed,
@@ -59,7 +56,6 @@ from .sliced_distance import (
     dp_swd,
     smoothed_swd,
     swd,
-    swd_gradient_source,
     value_and_gradient,
 )
 from .wasserstein1d import (
@@ -104,23 +100,19 @@ __all__ = [
     "gaussian_rdp",
     "inverse_normal_cdf",
     "load_csv",
-    "load_raw",
     "normalize_for_privacy",
     "per_row_costs",
-    "privacy_scale",
     "rdp_to_dp",
     "run_flow",
     "sample_gaussian_matrix",
     "sample_sphere",
     "save_csv",
-    "save_raw",
     "simulate_sensitivity",
     "smoothed_swd",
     "sorted_profile",
     "subsampled_rdp",
     "substream",
     "swd",
-    "swd_gradient_source",
     "value_and_gradient",
     "wasserstein_1d",
     "wasserstein_1d_q",

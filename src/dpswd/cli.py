@@ -2,12 +2,10 @@
 
 Every subcommand is a reproducible experiment: identical arguments and
 seed produce identical output (the manifest's duration field is the only
-exception). --threads is still accepted and still changes nothing: the
-sensitivity simulation picks its own thread count, and its sample does not
-depend on it. JSON goes to stdout with sorted keys; bulk data goes to CSV
+exception). JSON goes to stdout with sorted keys; bulk data goes to CSV
 files under --out. The manifest's params are the parsed arguments, except
---seed (the manifest's own seed field) and --threads. The choices of
---bound, --amplification and --sides come from the library's registries.
+--seed (the manifest's own seed field). The choices of --bound and
+--amplification come from the library's registries.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from .measures import DataError, load_csv, normalize_for_privacy, save_csv, writ
 from .measures import EmpiricalMeasure
 from .randomness import PURPOSE_DATA, derive_seed, substream
 from .sensitivity import SUMMARY_DELTAS, TAIL_BOUNDS, check_delta, simulate_sensitivity, summarize_simulation
-from .sliced_distance import NOISE_SIDES, SwdConfig, dp_swd, smoothed_swd, swd
+from .sliced_distance import SwdConfig, dp_swd, smoothed_swd, swd
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,8 +54,9 @@ _EXIT_CODES = (
 
 
 def _parse_seed(text: str) -> int:
+    """A 0x or 0X prefix means hex, anything else decimal (so 010 is ten)."""
     try:
-        value = int(text, 0)
+        value = int(text, 16 if text.strip().lstrip("+-")[:2] in ("0x", "0X") else 10)
     except ValueError:
         raise argparse.ArgumentTypeError(f"seed must be decimal or 0x-hex, got {text!r}")
     return value & ((1 << 64) - 1)
@@ -116,9 +115,9 @@ def _load_inputs(args, *paths) -> list[EmpiricalMeasure]:
 
 
 def _manifest(args, started: float) -> dict:
-    """Run record: every parsed parameter except the seed (its own field) and --threads."""
+    """Run record: every parsed parameter except the seed (its own field)."""
     params = {name: value for name, value in vars(args).items()
-              if name not in ("func", "subcommand", "seed", "threads")}
+              if name not in ("func", "subcommand", "seed")}
     return {
         "subcommand": args.subcommand,
         "params": params,
@@ -135,8 +134,8 @@ def _emit(payload: dict) -> None:
 
 def cmd_compute(args) -> int:
     started = time.perf_counter()
+    cfg = SwdConfig(k=args.k, q=args.q, seed=args.seed, sigma=args.sigma)
     a, b = _load_inputs(args, args.a, args.b)
-    cfg = SwdConfig(k=args.k, q=args.q, seed=args.seed, sigma=args.sigma, noise_sides=args.sides)
     if args.sigma > 0:
         result = dp_swd(a, b, cfg)
     else:
@@ -146,7 +145,7 @@ def cmd_compute(args) -> int:
             "value": result.value,
             "distance": result.distance,
             "per_projection": [float(v) for v in result.per_projection],
-            "config": {"k": cfg.k, "q": cfg.q, "sigma": cfg.sigma, "noise_sides": cfg.noise_sides, "seed": cfg.seed},
+            "config": {"k": cfg.k, "q": cfg.q, "sigma": cfg.sigma, "seed": cfg.seed},
             "manifest": _manifest(args, started),
         }
     )
@@ -220,7 +219,7 @@ def cmd_toy(args) -> int:
 
 def cmd_calibrate(args) -> int:
     started = time.perf_counter()
-    for flag, value in (("--n", args.n), ("--batch", args.batch)):
+    for flag, value in (("--n", args.n), ("--epochs", args.epochs), ("--batch", args.batch)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
     steps = args.epochs * (args.n // args.batch)
@@ -309,9 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dpswd {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_parse_seed, default=0, help="decimal or 0x-hex master seed")
-    common.add_argument(
-        "--threads", type=int, default=1, help="accepted for compatibility; never changes results"
-    )
     inputs = argparse.ArgumentParser(add_help=False)  # the two-CSV subcommands
     inputs.add_argument("--sigma", type=float, default=0.0)
     inputs.add_argument("--normalize", default=None, metavar="max|clip:C")
@@ -326,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="second (private) dataset CSV")
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--sides", choices=NOISE_SIDES, default="both")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("sensitivity", parents=[common], help="simulate the squared sensitivity")

@@ -60,6 +60,9 @@ class FlowConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.log_every < 1:
             raise ValueError(f"log_every must be >= 1, got {self.log_every}")
+        SwdConfig(k=self.k, sigma=self.sigma)  # refuses k < 1 and a sigma not finite and >= 0
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.seed_policy not in DIRECTION_POLICIES:
             raise ValueError(f"seed_policy must be one of {DIRECTION_POLICIES}, got {self.seed_policy!r}")
         check_delta(self.delta)

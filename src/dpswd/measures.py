@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -160,36 +159,6 @@ def save_csv(measure: EmpiricalMeasure, path, header: bool = False) -> None:
     write_csv_rows(path, (row.tolist() for row in measure.points), header=names)
 
 
-def load_raw(path) -> EmpiricalMeasure:
-    """Read the binary format: little-endian u64 (n, d) header, f64 row-major."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < 16:
-        raise DataError(f"{path}: truncated header")
-    n, d = struct.unpack("<QQ", raw[:16])
-    expected = 16 + 8 * n * d
-    if len(raw) != expected:
-        raise DataError(f"{path}: expected {expected} bytes for {n}x{d}, got {len(raw)}")
-    pts = np.frombuffer(raw, dtype="<f8", offset=16).reshape(n, d)
-    return from_points(pts)
-
-
-def save_raw(measure: EmpiricalMeasure, path) -> None:
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<QQ", measure.n, measure.dim))
-        fh.write(np.ascontiguousarray(measure.points, dtype="<f8").tobytes())
-
-
-def privacy_scale(measure: EmpiricalMeasure) -> float:
-    """The max-norm divisor 2*max_j ||row_j||: rows/scale all have norm <= 1/2."""
-    norms = np.linalg.norm(measure.points, axis=1)
-    top = float(norms.max())
-    if top == 0.0:
-        raise DataError("all rows are zero; max-norm scale undefined")
-    return 2.0 * top
-
-
 def normalize_for_privacy(
     measure: EmpiricalMeasure, mode: str = "max-norm", clip: float | None = None
 ) -> EmpiricalMeasure:
@@ -206,7 +175,10 @@ def normalize_for_privacy(
     """
     pts = measure.points
     if mode == "max-norm":
-        out = pts / privacy_scale(measure)
+        top = float(np.linalg.norm(pts, axis=1).max())
+        if top == 0.0:
+            raise DataError("all rows are zero; max-norm scale undefined")
+        out = pts / (2.0 * top)
     elif mode == "clip":
         if clip is None or not 0 < clip < math.inf:
             raise DataError(f"clip mode needs a finite positive radius C, got {clip}")

@@ -31,25 +31,21 @@ from .randomness import (
 )
 from .wasserstein1d import per_row_costs
 
-NOISE_SIDES = ("both", "target-only")
-
 
 @dataclass(frozen=True)
 class SwdConfig:
     """Estimator configuration: projection count, order, seeds, noise level.
 
     Directions are drawn from ``seed``; noise is drawn from ``noise_seed``,
-    which defaults to ``seed``. Noising both sides estimates the smoothed
-    distance SW(a*N, b*N), zero at a = b. "target-only" estimates SW(a, b*N),
-    biased above zero even at a = b: for isotropic Gaussians of scale s by
-    (s - sqrt(s^2 + sigma^2))^2 per direction.
+    which defaults to ``seed``. With sigma > 0 both sides' projections are
+    noised, so the estimate is the smoothed distance SW(a*N, b*N), zero at
+    a = b.
     """
 
     k: int = 100
     q: float = 2.0
     seed: Seed = 0
     sigma: float = 0.0
-    noise_sides: str = "both"
     noise_seed: Seed | None = None
 
     def __post_init__(self):
@@ -59,8 +55,6 @@ class SwdConfig:
             raise ValueError(f"q must be finite and >= 1, got {self.q}")
         if not 0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if self.noise_sides not in NOISE_SIDES:
-            raise ValueError(f"noise_sides must be one of {NOISE_SIDES}, got {self.noise_sides!r}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +103,7 @@ def _release(a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig) -> tuple:
     proj_a = directions.T @ a.points.T
     proj_b = directions.T @ b.points.T
     if cfg.sigma > 0:
-        if cfg.noise_sides == "both":
-            proj_a += sample_gaussian_matrix(cfg.k, a.n, cfg.sigma, noise_seed, PURPOSE_NOISE_SOURCE)
+        proj_a += sample_gaussian_matrix(cfg.k, a.n, cfg.sigma, noise_seed, PURPOSE_NOISE_SOURCE)
         proj_b += sample_gaussian_matrix(cfg.k, b.n, cfg.sigma, noise_seed, PURPOSE_NOISE_TARGET)
     source, order_a = _sort_rows(proj_a)
     weights_a = None if a.is_uniform() else a.weights[order_a]
@@ -181,13 +174,3 @@ def value_and_gradient(
     np.put_along_axis(by_row, order, diffs, axis=1)
     grad = (2.0 / (cfg.k * a.n)) * by_row.T @ directions.T
     return float(np.mean(per_row_costs(source, None, target, None, cfg.q))), grad
-
-
-def swd_gradient_source(a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig) -> np.ndarray:
-    """Source gradient of the q=2 estimator; see value_and_gradient.
-
-    Directions and any noise are regenerated from the config's seeds, so the
-    gradient is exactly consistent with the value returned by swd / dp_swd /
-    smoothed_swd at the same config.
-    """
-    return value_and_gradient(a, b, cfg)[1]

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -88,6 +90,13 @@ class TestCompute:
         r2 = run_cli("compute", "--a", a, "--b", b, "--k", "8", "--seed", "42")
         assert strip_duration(r1.stdout) == strip_duration(r2.stdout)
 
+    @pytest.mark.parametrize("text, seed", [("010", 10), ("0x2A", 42), ("0X2a", 42)])
+    def test_seed_is_hex_only_with_0x_prefix(self, data_dir, text, seed):
+        r = run_cli("compute", "--a", str(data_dir / "a.csv"), "--b", str(data_dir / "b.csv"),
+                    "--k", "8", "--seed", text)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["manifest"]["seed"] == seed
+
     def test_sigma_without_normalize_is_usage_error(self, data_dir):
         r = run_cli("compute", "--a", str(data_dir / "a.csv"), "--b", str(data_dir / "b.csv"),
                     "--sigma", "1.0")
@@ -122,6 +131,19 @@ class TestCompute:
         assert r.returncode == 2
         assert r.stdout == ""
         assert f"{flag[2:]} must be finite" in r.stderr
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--k", "0", "k must be >= 1"),
+        ("--sigma", "-1", "sigma must be finite and >= 0"),
+        ("--q", "0.5", "q must be finite and >= 1"),
+    ])
+    def test_bad_config_is_refused_before_reading_inputs(self, data_dir, tmp_path, flag, value,
+                                                         message):
+        # the first input does not exist: a read would exit 3 before the check
+        r = run_cli("compute", "--a", str(tmp_path / "missing.csv"), "--b", str(data_dir / "b.csv"),
+                    flag, value)
+        assert r.returncode == 2
+        assert message in r.stderr
 
     def test_missing_file_is_data_error(self, data_dir):
         r = run_cli("compute", "--a", str(data_dir / "nope.csv"), "--b", str(data_dir / "b.csv"))
@@ -326,12 +348,12 @@ class TestCalibrateCmd:
         assert r.stdout == ""
         assert "eps_target must be finite and positive" in r.stderr
 
-    @pytest.mark.parametrize("flag", ["--n", "--batch"])
+    @pytest.mark.parametrize("flag", ["--n", "--batch", "--epochs"])
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_non_positive_size_is_usage_error(self, flag, value):
-        sizes = {"--n": "60000", "--batch": "100", flag: value}
+        sizes = {"--n": "60000", "--batch": "100", "--epochs": "100", flag: value}
         r = run_cli("calibrate", "--eps", "10", "--delta", "1e-5", "--dim", "784", "--k", "1000",
-                    "--epochs", "100", *(part for item in sizes.items() for part in item),
+                    *(part for item in sizes.items() for part in item),
                     "--seed", "0")
         assert r.returncode == 2
         assert r.stdout == ""
@@ -428,15 +450,19 @@ class TestFlowCmd:
         assert message in r.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--delta", "5"), ("--delta-split", "-0.5")])
+    @pytest.mark.parametrize("flag, value", [("--delta", "5"), ("--delta-split", "-0.5"),
+                                             ("--k", "0"), ("--batch", "0"), ("--sigma", "-1")])
     def test_bad_delta_is_refused_before_reading_inputs(self, data_dir, tmp_path, flag, value):
         # the source does not exist: a read would exit 3 before the check
+        message = {"--delta": "must lie in", "--delta-split": "must lie in",
+                   "--k": "k must be >= 1", "--batch": "batch_size must be >= 1",
+                   "--sigma": "sigma must be finite and >= 0"}[flag]
         r = run_cli("flow", "--source", str(tmp_path / "missing.csv"),
                     "--target", str(data_dir / "tgt2d.csv"),
                     "--iters", "5", "--lr", "0.1", "--sigma", "1.0", "--normalize", "clip:1",
                     flag, value, "--out", str(tmp_path / "x"))
         assert r.returncode == 2
-        assert "must lie in" in r.stderr
+        assert message in r.stderr
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_log_every_below_one_is_usage_error(self, data_dir, tmp_path, value):
@@ -504,15 +530,15 @@ class TestDeterminism:
 
     @SUBCOMMAND_RUNS
     def test_identical_output_across_runs_and_threads(self, data_dir, tmp_path, argv_fn):
-        # identical arguments (including --out) with varying --threads; file
-        # contents are snapshotted after each run before the next overwrites
+        # identical arguments (including --out); the sensitivity simulation
+        # runs on as many threads as it finds CPUs; file contents are
+        # snapshotted after each run before the next overwrites
         outs = []
         files = {}
         o = tmp_path / "out"
         o.mkdir()
-        for threads in ("1", "8", "1"):
-            argv = argv_fn(data_dir, o) + ["--threads", threads]
-            r = run_cli(*argv)
+        for _ in range(3):
+            r = run_cli(*argv_fn(data_dir, o))
             assert r.returncode == 0, r.stderr
             outs.append(strip_duration(r.stdout))
             for f in sorted(o.rglob("*")):
@@ -525,15 +551,14 @@ class TestDeterminism:
 
     @SUBCOMMAND_RUNS
     def test_manifest_echoes_parsed_arguments(self, data_dir, tmp_path, argv_fn):
-        argv = argv_fn(data_dir, tmp_path) + ["--threads", "4"]
+        argv = argv_fn(data_dir, tmp_path)
         r = run_cli(*argv)
         assert r.returncode == 0, r.stderr
         manifest = json.loads(r.stdout)["manifest"]
         parsed = vars(build_parser().parse_args(argv))
         assert manifest["subcommand"] == parsed.pop("subcommand")
         assert manifest["seed"] == parsed.pop("seed")
-        for name in ("func", "threads"):
-            parsed.pop(name)
+        parsed.pop("func")
         assert manifest["params"] == parsed
 
     def test_csvs_are_rfc4180_parseable(self, data_dir, tmp_path):
@@ -563,3 +588,23 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for argv in examples:
         parser.parse_args(argv)
+
+
+def parser_options(parser) -> set[str]:
+    """Every option string of a parser and of its subcommands' parsers."""
+    names = set()
+    for action in parser._actions:
+        names.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                names |= parser_options(subparser)
+    return names
+
+
+def test_readme_flags_are_parser_options():
+    text = README.read_text(encoding="utf-8")
+    before, rest = text.split("\n## Install and test\n", 1)
+    after = rest.split("\n## ", 1)[1]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", before + after))
+    assert "--seed" in named
+    assert named <= parser_options(build_parser())

@@ -189,33 +189,6 @@ class TestWriteCsvRows:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-class TestRawBinary:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        m = ms.from_points(rng.standard_normal((5, 3)))
-        p = tmp_path / "m.bin"
-        ms.save_raw(m, p)
-        back = ms.load_raw(p)
-        assert np.array_equal(back.points, m.points)
-
-    def test_header_is_little_endian_u64(self, tmp_path):
-        m = ms.from_points([[1.5, -2.5]])
-        p = tmp_path / "m.bin"
-        ms.save_raw(m, p)
-        raw = p.read_bytes()
-        assert raw[:16] == (1).to_bytes(8, "little") + (2).to_bytes(8, "little")
-        assert len(raw) == 16 + 16
-
-    def test_truncated_rejected(self, tmp_path):
-        p = tmp_path / "bad.bin"
-        p.write_bytes(b"\x01\x00")
-        with pytest.raises(ms.DataError):
-            ms.load_raw(p)
-        p.write_bytes((2).to_bytes(8, "little") + (2).to_bytes(8, "little") + b"\x00" * 8)
-        with pytest.raises(ms.DataError):
-            ms.load_raw(p)
-
-
 class TestNormalizeForPrivacy:
     def test_max_norm_example(self):
         m = ms.from_points([[3.0, 4.0], [0.0, 1.0]])
@@ -244,10 +217,6 @@ class TestNormalizeForPrivacy:
                 gram = pts @ pts.T
                 sq = np.diag(gram)[:, None] + np.diag(gram)[None, :] - 2 * gram
                 assert sq.max() <= 1.0 + 1e-12
-
-    def test_caller_supplied_scale(self):
-        m = ms.from_points([[1.0, 0.0]])
-        assert ms.privacy_scale(m) == pytest.approx(2.0)
 
     def test_all_zero_rows_rejected(self):
         m = ms.from_points([[0.0, 0.0]])

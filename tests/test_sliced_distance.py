@@ -10,7 +10,6 @@ from dpswd.sliced_distance import (
     dp_swd,
     smoothed_swd,
     swd,
-    swd_gradient_source,
     value_and_gradient,
 )
 from dpswd.wasserstein1d import SortedProfile, per_row_costs, sorted_profile
@@ -111,10 +110,9 @@ class TestSwd:
 
     def test_noised_projections_prefix_stable_in_k(self):
         a, b = gaussian_cloud(12, 4, 16), gaussian_cloud(9, 4, 17)
-        for sides in ("both", "target-only"):
-            short = smoothed_swd(a, b, SwdConfig(k=24, seed=18, sigma=0.7, noise_sides=sides))
-            long = smoothed_swd(a, b, SwdConfig(k=48, seed=18, sigma=0.7, noise_sides=sides))
-            assert np.array_equal(short.per_projection, long.per_projection[:24])
+        short = smoothed_swd(a, b, SwdConfig(k=24, seed=18, sigma=0.7))
+        long = smoothed_swd(a, b, SwdConfig(k=48, seed=18, sigma=0.7))
+        assert np.array_equal(short.per_projection, long.per_projection[:24])
 
     def test_weighted_matches_uniform_on_duplicated_support(self):
         pts = np.array([[0.0, 1.0], [2.0, -1.0]])
@@ -234,17 +232,6 @@ class TestDpSwd:
         assert b500 > 0
         assert b500 < b50
 
-    def test_noise_sides_target_only_leaves_source_clean(self):
-        a = normalize_for_privacy(gaussian_cloud(10, 3, 6))
-        b = normalize_for_privacy(gaussian_cloud(10, 3, 7))
-        both = dp_swd(a, b, SwdConfig(k=32, sigma=0.5, seed=8, noise_sides="both"))
-        target = dp_swd(a, b, SwdConfig(k=32, sigma=0.5, seed=8, noise_sides="target-only"))
-        assert both.value != target.value
-        # target-only at sigma -> 0 also approaches the plain estimator
-        t0 = smoothed_swd(a, b, SwdConfig(k=32, sigma=1e-9, seed=8, noise_sides="target-only"))
-        plain = swd(a, b, SwdConfig(k=32, seed=8))
-        assert abs(t0.value - plain.value) <= 1e-7
-
     def test_private_side_consumed_once_into_projections(self):
         a = normalize_for_privacy(gaussian_cloud(10, 3, 9))
         b = RecordingMeasure(normalize_for_privacy(gaussian_cloud(10, 3, 10)))
@@ -328,18 +315,18 @@ class TestSmoothedClosedForm:
 class TestGradient:
     def test_zero_at_identical_inputs(self):
         a = gaussian_cloud(8, 3, 0)
-        g = swd_gradient_source(a, a, SwdConfig(k=16, q=2, seed=1))
+        g = value_and_gradient(a, a, SwdConfig(k=16, q=2, seed=1))[1]
         assert np.abs(g).max() == 0.0
 
     def test_requires_q2_equal_counts_uniform(self):
         a, b = gaussian_cloud(8, 3, 1), gaussian_cloud(8, 3, 2)
         with pytest.raises(ValueError, match="q=2"):
-            swd_gradient_source(a, b, SwdConfig(k=4, q=1, seed=0))
+            value_and_gradient(a, b, SwdConfig(k=4, q=1, seed=0))
         with pytest.raises(ValueError, match="equal sample counts"):
-            swd_gradient_source(a, gaussian_cloud(7, 3, 3), SwdConfig(k=4, seed=0))
+            value_and_gradient(a, gaussian_cloud(7, 3, 3), SwdConfig(k=4, seed=0))
         weighted = from_points(b.points, weights=np.linspace(1, 2, 8))
         with pytest.raises(ValueError, match="uniform"):
-            swd_gradient_source(a, weighted, SwdConfig(k=4, seed=0))
+            value_and_gradient(a, weighted, SwdConfig(k=4, seed=0))
 
     @staticmethod
     def finite_difference(a_pts, b, cfg, h=1e-5):
@@ -375,7 +362,7 @@ class TestGradient:
         worst = 0.0
         for trial in range(50):
             a_pts, b, cfg = self._well_separated_instance(1000 + trial)
-            analytic = swd_gradient_source(from_points(a_pts), b, cfg)
+            analytic = value_and_gradient(from_points(a_pts), b, cfg)[1]
             numeric = self.finite_difference(a_pts, b, cfg)
             rel = np.abs(analytic - numeric).max() / max(np.abs(numeric).max(), 1e-12)
             worst = max(worst, rel)
@@ -384,7 +371,7 @@ class TestGradient:
     def test_matches_central_differences_with_noise(self):
         # fixed seed keeps the noise realization constant across FD probes
         a_pts, b, cfg = self._well_separated_instance(77, sigma=0.3)
-        analytic = swd_gradient_source(from_points(a_pts), b, cfg)
+        analytic = value_and_gradient(from_points(a_pts), b, cfg)[1]
         numeric = self.finite_difference(a_pts, b, cfg)
         rel = np.abs(analytic - numeric).max() / max(np.abs(numeric).max(), 1e-12)
         assert rel <= 1e-5
@@ -394,7 +381,7 @@ class TestGradient:
         # sum_i grad_i = (2/k) sum_j u_j u_j^T (mean(a) - mean(b))
         a, b = gaussian_cloud(10, 4, 5), gaussian_cloud(10, 4, 6)
         cfg = SwdConfig(k=32, q=2, seed=7)
-        g = swd_gradient_source(a, b, cfg)
+        g = value_and_gradient(a, b, cfg)[1]
         u = sample_sphere(4, cfg.k, cfg.seed)
         expected = (2.0 / cfg.k) * u @ u.T @ (a.points.mean(axis=0) - b.points.mean(axis=0))
         assert np.abs(g.sum(axis=0) - expected).max() <= 1e-10
@@ -404,4 +391,4 @@ class TestGradient:
         cfg = SwdConfig(k=8, q=2, seed=10, sigma=0.5)
         v, g = value_and_gradient(a, b, cfg)
         assert v == smoothed_swd(a, b, cfg).value
-        assert np.array_equal(g, swd_gradient_source(a, b, cfg))
+        assert np.array_equal(g, value_and_gradient(a, b, cfg)[1])
