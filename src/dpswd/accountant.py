@@ -48,21 +48,15 @@ w(k, d, p) on the squared sensitivity holds with probability >= 1 - p over
 one draw of the k directions U; given a U on which it holds, one step is a
 Gaussian mechanism with squared sensitivity w. The budget gives the tail
 delta_s = delta_split * delta and the conversion delta_c = delta - delta_s.
-
-* "fresh" directions (the default): each of the T steps draws its own U_t,
-  so there are T tail events. The schedule is charged at w(k, d, p/T),
-  where p <= delta_s is the delta of the bound passed in. Each draw then
-  exceeds its bound with probability <= p/T, and by the union bound all T
-  draws are within it except with probability <= p <= delta_s. On that
-  event the T steps compose in RDP and convert at delta_c, so the whole
-  schedule is (eps, delta_c + delta_s)-DP.
-* "fixed" directions: one U serves every step, so there is a single tail
-  event, and w(k, d, p) is charged once, for all T steps, with the same
-  total delta_c + delta_s.
-
-A bound whose p exceeds delta_s would spend more than delta and is
-refused. A "fixed" kind bound (a known constant) has no tail and is
-charged as given under either policy, and so is every T = 1 schedule.
+Each of the T steps draws its own U_t, so there are T tail events, and the
+schedule is charged at w(k, d, p/T), where p <= delta_s is the delta of the
+bound passed in. Each draw then exceeds its bound with probability <= p/T,
+and by the union bound all T draws are within it except with probability
+<= p <= delta_s. On that event the T steps compose in RDP and convert at
+delta_c, so the whole schedule is (eps, delta_c + delta_s)-DP. A bound
+whose p exceeds delta_s would spend more than delta and is refused. A
+"fixed" kind bound (a known constant) has no tail and is charged as given,
+and so is every T = 1 schedule.
 """
 
 from __future__ import annotations
@@ -73,10 +67,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sensitivity import TAIL_BOUNDS, SensitivityBound
+from .sensitivity import TAIL_BOUNDS, SensitivityBound, _check_count
 
 AMPLIFICATION_MODES = ("subsample", "poisson", "none")
-DIRECTION_POLICIES = ("fresh", "fixed")
 
 
 class InfeasibleBudgetError(ValueError):
@@ -118,8 +111,7 @@ class PrivacyBudget:
             raise ValueError(f"eps_target must be finite and positive, got {self.eps_target}")
         if not 0.0 < self.delta_target < 1.0:
             raise ValueError(f"delta_target must lie in (0, 1), got {self.delta_target}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        _check_count("steps", self.steps, 1)
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ValueError(f"sampling_rate must lie in (0, 1], got {self.sampling_rate}")
         if not 0.0 <= self.delta_split < 1.0:
@@ -154,6 +146,13 @@ class MechanismSpec:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.sensitivity_sq <= 0:
             raise ValueError(f"sensitivity_sq must be positive, got {self.sensitivity_sq}")
+        try:  # the RDP rate that every curve is built from
+            rate = float(self.sensitivity_sq) / (2.0 * float(self.sigma) ** 2)
+        except (OverflowError, ZeroDivisionError):  # sigma^2 overflowed or underflowed to 0
+            rate = math.nan
+        if not 0.0 < rate < math.inf:
+            raise ValueError(f"sigma={self.sigma:g} is out of range: w / (2 sigma^2) must be "
+                             f"a finite float > 0, with w={self.sensitivity_sq:g}")
 
 
 def default_orders() -> np.ndarray:
@@ -161,9 +160,9 @@ def default_orders() -> np.ndarray:
     return np.concatenate([[1.25, 1.5, 1.75], np.arange(2.0, 65.0), [128.0, 256.0]])
 
 
-def dense_orders(max_order: float = 64.0, step: float = 0.25) -> np.ndarray:
-    """Quarter-step grid for calibrations that need a sharp optimum."""
-    return np.concatenate([np.arange(1.25, max_order + step / 2, step), [128.0, 256.0]])
+def dense_orders() -> np.ndarray:
+    """Quarter-step grid for calibrations that need a sharp optimum: {1.25..64, 128, 256}."""
+    return np.concatenate([np.arange(1.25, 64.125, 0.25), [128.0, 256.0]])
 
 
 def gaussian_rdp(spec: MechanismSpec, orders=None) -> RdpCurve:
@@ -273,19 +272,14 @@ def rdp_to_dp(curve: RdpCurve, delta: float) -> tuple[float, float]:
     return float(totals[best]), float(curve.orders[best])
 
 
-def charged_bound(
-    budget: PrivacyBudget, sensitivity: SensitivityBound, directions: str = "fresh"
-) -> SensitivityBound:
+def charged_bound(budget: PrivacyBudget, sensitivity: SensitivityBound) -> SensitivityBound:
     """The per-draw bound that the budget's schedule is charged at.
 
-    For fresh directions over T > 1 steps, a probabilistic bound is rebuilt
-    from its kind, k and d at delta / T (see the module docstring); else
-    the bound is returned as given. Raises ValueError for an unknown
-    policy or a probabilistic bound whose delta exceeds the budget's
-    sensitivity share.
+    Over T > 1 steps a probabilistic bound is rebuilt from its kind, k and d
+    at delta / T (see the module docstring); else the bound is returned as
+    given. Raises ValueError for a probabilistic bound whose delta exceeds
+    the budget's sensitivity share.
     """
-    if directions not in DIRECTION_POLICIES:
-        raise ValueError(f"directions must be one of {DIRECTION_POLICIES}, got {directions!r}")
     if sensitivity.kind not in TAIL_BOUNDS:
         return sensitivity
     if not sensitivity.delta <= budget.delta_sensitivity:
@@ -293,7 +287,7 @@ def charged_bound(
             f"{sensitivity.kind} bound at delta={sensitivity.delta:g} exceeds the budget's "
             f"sensitivity share {budget.delta_sensitivity:g} (delta_split={budget.delta_split:g})"
         )
-    if directions == "fixed" or budget.steps == 1:
+    if budget.steps == 1:
         return sensitivity
     make = TAIL_BOUNDS[sensitivity.kind]
     return make(sensitivity.k, sensitivity.d, sensitivity.delta / budget.steps)
@@ -305,17 +299,16 @@ def account(
     sensitivity: SensitivityBound,
     orders=None,
     amplification: str = "subsample",
-    directions: str = "fresh",
 ) -> tuple[float, float]:
     """End-to-end eps achieved by sigma under the budget's schedule.
 
-    Charges the bound for the direction policy (charged_bound), assembles
-    subsampled RDP at the budget's sampling rate, composes over its steps,
-    and converts at delta_conversion. Returns (eps, best order).
+    Charges the bound (charged_bound), assembles subsampled RDP at the
+    budget's sampling rate, composes over its steps, and converts at
+    delta_conversion. Returns (eps, best order).
     """
     if amplification not in AMPLIFICATION_MODES:
         raise ValueError(f"amplification must be one of {AMPLIFICATION_MODES}, got {amplification!r}")
-    sensitivity = charged_bound(budget, sensitivity, directions)
+    sensitivity = charged_bound(budget, sensitivity)
     spec = MechanismSpec(sigma=sigma, sensitivity_sq=sensitivity.w)
     if amplification == "none":  # no amplification is the bound at gamma = 1
         curve = subsampled_rdp(spec, 1.0, orders)
@@ -345,7 +338,6 @@ def calibrate_sigma(
     sensitivity: SensitivityBound,
     orders=None,
     amplification: str = "subsample",
-    directions: str = "fresh",
 ) -> CalibrationResult:
     """Smallest noise level in [1e-3, 1e3] meeting the budget, by bisection.
 
@@ -356,17 +348,17 @@ def calibrate_sigma(
     is clamped: the floor is returned, though a smaller sigma may meet it
     too. Each bisection step is one account() evaluation; the
     sigma-independent amplification table is built by the first and reused
-    by the rest. The bound is charged for the direction policy once, up
-    front: charging that per-draw bound as given ("fixed") yields exactly
-    the eps of the requested policy at every sigma. Raises
+    by the rest. The charged bound is computed once, up front, so a bound
+    above the budget's sensitivity share is refused before any evaluation;
+    it is reported as the result's sensitivity. Raises
     InfeasibleBudgetError when even the largest sigma in the bracket cannot
     reach the target, reporting eps at both ends.
     """
 
-    charged = charged_bound(budget, sensitivity, directions)
+    charged = charged_bound(budget, sensitivity)
 
     def evaluate(s: float) -> tuple[float, float]:
-        return account(s, budget, charged, orders, amplification, directions="fixed")
+        return account(s, budget, sensitivity, orders, amplification)
 
     eps_lo, eps_hi = evaluate(_SIGMA_LO)[0], evaluate(_SIGMA_HI)[0]
     if eps_hi > budget.eps_target:

@@ -128,8 +128,8 @@ def _manifest(args, started: float) -> dict:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # encoded whole first, so a refused NaN or infinity leaves stdout empty
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def cmd_compute(args) -> int:
@@ -140,6 +140,8 @@ def cmd_compute(args) -> int:
         result = dp_swd(a, b, cfg)
     else:
         result = swd(a, b, cfg)
+    if not math.isfinite(result.value):
+        raise DataError(f"the distance is not finite ({result.value}): float64 overflow")
     _emit(
         {
             "value": result.value,

@@ -6,10 +6,9 @@ the (optionally noised) sliced distance against a fixed target. Each step
 makes one release of the target's noised projections and noises the
 source's alike, so the loss is the smoothed distance, minimized at the
 target itself; the loss and the gradient are both computed from that one
-release. Fresh noise (when sigma > 0) is drawn every step under either
-direction policy; fresh directions only under the "fresh" policy. The
-privacy cost of the whole schedule, accounted once up front for a
-privacy-normalized target, charges the sensitivity tail at every fresh
+release. Every step draws fresh directions and, when sigma > 0, fresh
+noise. The privacy cost of the whole schedule, accounted once up front for
+a privacy-normalized target, charges the sensitivity tail at every
 direction draw.
 """
 
@@ -20,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accountant import DIRECTION_POLICIES, PrivacyBudget, account, charged_bound
-from .measures import EmpiricalMeasure, check_privacy_normalized
+from .accountant import PrivacyBudget, account, charged_bound
+from .measures import DataError, EmpiricalMeasure, check_privacy_normalized
 from .randomness import PURPOSE_DATA, Seed, derive_seed, substream
-from .sensitivity import TAIL_BOUNDS, SensitivityBound, check_delta
+from .sensitivity import TAIL_BOUNDS, SensitivityBound, _check_count, check_delta
 from .sliced_distance import SwdConfig, value_and_gradient
 
 DIVERGENCE_LIMIT = 1e6
@@ -47,24 +46,19 @@ class FlowConfig:
     sigma: float = 0.0
     seed: Seed = 0
     log_every: int = 10
-    seed_policy: str = "fresh"  # "fresh": new directions per step; "fixed": one draw
     batch_size: int | None = None  # optional target mini-batching (gamma < 1)
     delta: float = 1e-5
     delta_split: float = 0.5
     bound_kind: str = "bernstein"
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        _check_count("iterations", self.iterations, 1)
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.log_every < 1:
-            raise ValueError(f"log_every must be >= 1, got {self.log_every}")
+        _check_count("log_every", self.log_every, 1)
         SwdConfig(k=self.k, sigma=self.sigma)  # refuses k < 1 and a sigma not finite and >= 0
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed_policy not in DIRECTION_POLICIES:
-            raise ValueError(f"seed_policy must be one of {DIRECTION_POLICIES}, got {self.seed_policy!r}")
+        if self.batch_size is not None:
+            _check_count("batch_size", self.batch_size, 1)
         check_delta(self.delta)
         if not 0.0 <= self.delta_split < 1.0:
             raise ValueError(f"delta_split must lie in [0, 1), got {self.delta_split}")
@@ -99,10 +93,8 @@ def _privacy_report(target: EmpiricalMeasure, cfg: FlowConfig) -> tuple:
         delta_split=cfg.delta_split,
     )
     bound = budget.tail_bound(cfg.bound_kind, cfg.k, target.dim)
-    eps, order = account(
-        cfg.sigma, budget, bound, amplification="subsample", directions=cfg.seed_policy
-    )
-    return eps, cfg.delta, order, charged_bound(budget, bound, cfg.seed_policy)
+    eps, order = account(cfg.sigma, budget, bound, amplification="subsample")
+    return eps, cfg.delta, order, charged_bound(budget, bound)
 
 
 def run_flow(
@@ -110,17 +102,18 @@ def run_flow(
 ) -> FlowTrace:
     """Gradient descent on particle positions minimizing the sliced loss.
 
-    Each step draws noise from a per-step seed (directions too, unless the
-    policy is "fixed"), evaluates a consistent (loss, gradient) pair from one
-    release, and moves the particles. The target enters every step only
-    through its noised projections, and the source's projections get the
-    same noise level. When sigma > 0 the target must satisfy the privacy
-    normalization precondition (all row norms <= 1/2), else DataError.
+    Each step draws directions and noise from a per-step seed, evaluates a
+    consistent (loss, gradient) pair from one release, and moves the
+    particles. The target enters every step only through its noised
+    projections, and the source's projections get the same noise level.
+    When sigma > 0 the target must satisfy the privacy normalization
+    precondition (all row norms <= 1/2), else DataError. So are a dimension
+    mismatch and, without batching, unequal sample counts.
     """
     if source_init.dim != target_private.dim:
-        raise ValueError(f"dimension mismatch: {source_init.dim} vs {target_private.dim}")
+        raise DataError(f"dimension mismatch: {source_init.dim} vs {target_private.dim}")
     if source_init.n != target_private.n and cfg.batch_size is None:
-        raise ValueError(
+        raise DataError(
             f"equal sample counts required, got {source_init.n} and {target_private.n}"
         )
     if not (source_init.is_uniform() and target_private.is_uniform()):
@@ -146,10 +139,7 @@ def run_flow(
 
     for step in range(cfg.iterations):
         step_seed = derive_seed(cfg.seed, step)
-        step_cfg = SwdConfig(
-            k=cfg.k, q=2.0, sigma=cfg.sigma, noise_seed=step_seed,
-            seed=cfg.seed if cfg.seed_policy == "fixed" else step_seed,
-        )
+        step_cfg = SwdConfig(k=cfg.k, q=2.0, seed=step_seed, sigma=cfg.sigma, noise_seed=step_seed)
         source = EmpiricalMeasure(points)
         if cfg.batch_size is None or cfg.batch_size == target_private.n:
             target = target_private

@@ -153,10 +153,9 @@ def write_csv_rows(path, rows, header=None) -> None:
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def save_csv(measure: EmpiricalMeasure, path, header: bool = False) -> None:
+def save_csv(measure: EmpiricalMeasure, path) -> None:
     """Write support points as CSV with full round-trip precision."""
-    names = [f"x{j}" for j in range(measure.dim)] if header else None
-    write_csv_rows(path, (row.tolist() for row in measure.points), header=names)
+    write_csv_rows(path, (row.tolist() for row in measure.points))
 
 
 def normalize_for_privacy(

@@ -191,11 +191,11 @@ def simulate_sensitivity(d: int, k: int, trials: int, seed: Seed) -> np.ndarray:
     a term is g^2 / (g^2 + Q), Q ~ chi-square(d-1); for d = 1 it is 1.
     Trials are generated in chunks of _TRIAL_CHUNK, chunk i from its own
     substream i and filled _ROW_BLOCK rows at a time, so the sample depends
-    only on (seed, d, k, trials); seeded samples differ from those of
-    0.5.1. The chunks run concurrently on up to one thread per usable CPU
-    (numpy releases the GIL inside its fills); each writes only its own
-    slice, so the CPU count never changes the sample. d, k and trials must
-    be integers (numpy's included); anything else is a ValueError.
+    only on (seed, d, k, trials). The chunks run concurrently on up to one
+    thread per usable CPU (numpy releases the GIL inside its fills); each
+    writes only its own slice, so the CPU count never changes the sample.
+    d, k and trials must be integers (numpy's included); anything else is a
+    ValueError.
     """
     _check_count("trials", trials, 1)
     _check_count("k", k, 1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, check_privacy_normalized
+from .measures import DataError, EmpiricalMeasure, check_privacy_normalized
 from .randomness import (
     PURPOSE_NOISE_SOURCE,
     PURPOSE_NOISE_TARGET,
@@ -29,6 +29,7 @@ from .randomness import (
     sample_gaussian_matrix,
     sample_sphere,
 )
+from .sensitivity import _check_count
 from .wasserstein1d import per_row_costs
 
 
@@ -49,8 +50,7 @@ class SwdConfig:
     noise_seed: Seed | None = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        _check_count("k", self.k, 1)
         if not 1 <= self.q < math.inf:
             raise ValueError(f"q must be finite and >= 1, got {self.q}")
         if not 0 <= self.sigma < math.inf:
@@ -97,7 +97,7 @@ def _release(a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig) -> tuple:
     depends only on (noise seed, purpose, j, n), so it is prefix-stable in k.
     """
     if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+        raise DataError(f"dimension mismatch: {a.dim} vs {b.dim}")
     directions = sample_sphere(a.dim, cfg.k, cfg.seed)
     noise_seed = cfg.seed if cfg.noise_seed is None else cfg.noise_seed
     proj_a = directions.T @ a.points.T
@@ -164,7 +164,7 @@ def value_and_gradient(
     if cfg.q != 2.0:
         raise ValueError("gradient is defined for q=2 only")
     if b.n != a.n:
-        raise ValueError(f"equal sample counts required, got {a.n} and {b.n}")
+        raise DataError(f"equal sample counts required, got {a.n} and {b.n}")
     if not (a.is_uniform() and b.is_uniform()):
         raise ValueError("uniform weights required for the source gradient")
     directions, source, order, _, target, _ = _release(a, b, cfg)

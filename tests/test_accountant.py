@@ -40,6 +40,11 @@ class TestGaussianRdp:
             acc.MechanismSpec(sigma=0.0, sensitivity_sq=1.0)
         with pytest.raises(ValueError):
             acc.MechanismSpec(sigma=1.0, sensitivity_sq=0.0)
+        # sigma^2 overflows or underflows to 0: w / (2 sigma^2) is no finite float > 0
+        with pytest.raises(ValueError, match=r"sigma=1e\+160 is out of range"):
+            acc.MechanismSpec(sigma=1e160, sensitivity_sq=1.0)
+        with pytest.raises(ValueError, match="sigma=1e-200 is out of range"):
+            acc.MechanismSpec(sigma=1e-200, sensitivity_sq=1.0)
 
 
 class TestSubsampledRdp:
@@ -455,38 +460,27 @@ class TestDirectionPolicy:
 
     @pytest.mark.parametrize("make", [bernstein_bound, clt_bound])
     def test_fresh_is_fixed_at_union_bound_share(self, make):
-        # T fresh draws are charged as one draw whose bound fails w.p. delta_s / T
+        # T fresh draws are charged as T steps at the one per-draw bound that
+        # fails w.p. delta_s / T
         bound = make(100, 50, self.budget.delta_sensitivity)
         per_draw = make(100, 50, self.budget.delta_sensitivity / self.budget.steps)
-        fresh = acc.account(1.5, self.budget, bound, directions="fresh")
-        assert fresh == acc.account(1.5, self.budget, per_draw, directions="fixed")
-        assert acc.account(1.5, self.budget, bound) == fresh
-        assert fresh[0] > acc.account(1.5, self.budget, bound, directions="fixed")[0]
+        spec = acc.MechanismSpec(sigma=1.5, sensitivity_sq=per_draw.w)
+        curve = acc.compose(acc.subsampled_rdp(spec, 0.02), 500)
+        assert acc.account(1.5, self.budget, bound) == acc.rdp_to_dp(curve, self.budget.delta_conversion)
         assert acc.charged_bound(self.budget, bound).w == per_draw.w
         result = acc.calibrate_sigma(self.budget, bound)
         assert result.sensitivity.w == per_draw.w
         assert result.eps_achieved == acc.account(result.sigma, self.budget, bound)[0]
 
-    def test_fixed_charges_the_bound_once(self):
-        bound = bernstein_bound(100, 50, self.budget.delta_sensitivity)
-        eps, order = acc.account(1.5, self.budget, bound, directions="fixed")
-        spec = acc.MechanismSpec(sigma=1.5, sensitivity_sq=bound.w)
-        curve = acc.compose(acc.subsampled_rdp(spec, 0.02), 500)
-        assert (eps, order) == acc.rdp_to_dp(curve, self.budget.delta_conversion)
-        result = acc.calibrate_sigma(self.budget, bound, directions="fixed")
-        assert result.sensitivity == bound
-
     def test_single_step_unchanged(self):
         budget = acc.PrivacyBudget(eps_target=3.0, delta_target=1e-6, delta_split=0.5)
         bound = bernstein_bound(100, 50, budget.delta_sensitivity)
         assert acc.charged_bound(budget, bound) is bound
-        assert acc.account(2.0, budget, bound) == acc.account(2.0, budget, bound, directions="fixed")
 
     def test_fixed_sensitivity_has_no_tail(self):
         budget = acc.PrivacyBudget(eps_target=3.0, delta_target=1e-6, steps=500, delta_split=0.0)
         bound = fixed_sensitivity(1.0)
         assert acc.charged_bound(budget, bound) is bound
-        assert acc.account(2.0, budget, bound) == acc.account(2.0, budget, bound, directions="fixed")
 
     @pytest.mark.parametrize("split", [0.0, 0.25])
     def test_bound_above_tail_share_is_refused(self, split):
@@ -494,15 +488,10 @@ class TestDirectionPolicy:
             eps_target=3.0, delta_target=1e-6, steps=500, sampling_rate=0.02, delta_split=split
         )
         bound = bernstein_bound(100, 50, 0.5e-6)
-        for directions in acc.DIRECTION_POLICIES:
-            with pytest.raises(ValueError, match="sensitivity share"):
-                acc.account(1.5, budget, bound, directions=directions)
-            with pytest.raises(ValueError, match="sensitivity share"):
-                acc.calibrate_sigma(budget, bound, directions=directions)
-
-    def test_unknown_policy_is_refused(self):
-        with pytest.raises(ValueError, match="directions"):
-            acc.account(1.5, self.budget, fixed_sensitivity(1.0), directions="reused")
+        with pytest.raises(ValueError, match="sensitivity share"):
+            acc.account(1.5, budget, bound)
+        with pytest.raises(ValueError, match="sensitivity share"):
+            acc.calibrate_sigma(budget, bound)
 
 
 class TestBudgetType:
@@ -527,3 +516,5 @@ class TestBudgetType:
             acc.PrivacyBudget(eps_target=1.0, delta_target=1e-5, sampling_rate=0.0)
         with pytest.raises(ValueError):
             acc.PrivacyBudget(eps_target=1.0, delta_target=1e-5, delta_split=1.0)
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            acc.PrivacyBudget(eps_target=1.0, delta_target=1e-5, steps=2.5)

@@ -1,4 +1,6 @@
 import argparse
+import dataclasses
+import inspect
 import json
 import re
 import shlex
@@ -11,6 +13,7 @@ import pytest
 from jsonschema import Draft7Validator
 
 import dpswd
+from dpswd import cli
 from dpswd.cli import GRID_MAX_POINTS, _parse_grid, build_parser
 
 SCHEMA_DIR = Path(dpswd.__file__).parent / "schemas"
@@ -158,6 +161,15 @@ class TestCompute:
         r = run_cli("compute", "--a", str(data_dir / "a.csv"))
         assert r.returncode == 2
 
+    def test_non_finite_distance_is_data_error(self, data_dir, tmp_path):
+        # the projections of 1e200 square to infinity in float64
+        (tmp_path / "huge.csv").write_text("1e200,0\n0,1\n")
+        r = run_cli("compute", "--a", str(tmp_path / "huge.csv"), "--b", str(data_dir / "tgt2d.csv"),
+                    "--k", "8")
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert "not finite" in r.stderr
+
 
 def private_input_argv(subcommand, first, second, tmp_path):
     """A compute or flow run reading its two CSV inputs from first and second."""
@@ -184,6 +196,13 @@ class TestPrivateInputs:
         assert r.returncode == 2
         assert r.stdout == ""
         assert "C must be finite and > 0" in r.stderr
+
+    def test_dimension_mismatch_is_data_error(self, data_dir, tmp_path, subcommand):
+        argv = private_input_argv(subcommand, str(data_dir / "a.csv"),
+                                  str(data_dir / "tgt2d.csv"), tmp_path)
+        r = run_cli(*argv)
+        assert r.returncode == 3
+        assert "dimension mismatch: 3 vs 2" in r.stderr
 
 
 class TestSensitivityCmd:
@@ -427,6 +446,26 @@ class TestFlowCmd:
         assert payload["delta"] == 1e-5
         assert payload["sensitivity_w"] > 0
 
+    def test_unequal_counts_without_batch_is_data_error(self, data_dir, tmp_path):
+        (tmp_path / "three.csv").write_text("0,0\n1,1\n2,2\n")
+        r = run_cli("flow", "--source", str(data_dir / "src2d.csv"),
+                    "--target", str(tmp_path / "three.csv"),
+                    "--iters", "2", "--lr", "0.1", "--out", str(tmp_path / "o"))
+        assert r.returncode == 3
+        assert "equal sample counts required" in r.stderr
+
+    @pytest.mark.parametrize("sigma", ["1e160", "1e-200"])
+    def test_sigma_without_finite_rdp_rate_is_usage_error(self, data_dir, tmp_path, sigma):
+        r = run_cli("flow", "--source", str(data_dir / "src2d.csv"),
+                    "--target", str(data_dir / "tgt2d.csv"),
+                    "--iters", "2", "--lr", "0.1", "--k", "4", "--sigma", sigma,
+                    "--normalize", "clip:4", "--out", str(tmp_path / "o"))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        # one line: no traceback and no numpy warning before the message
+        assert r.stderr.startswith(f"error: sigma={float(sigma):g} is out of range")
+        assert r.stderr.count("\n") == 1
+
     def test_tail_bound_without_delta_share_is_usage_error(self, data_dir, tmp_path):
         r = run_cli("flow", "--source", str(data_dir / "src2d.csv"),
                     "--target", str(data_dir / "tgt2d.csv"),
@@ -572,6 +611,27 @@ class TestDeterminism:
         assert rows[0] == ["trial", "h"]
         assert len(rows) == 21
         assert all(len(r) == 2 for r in rows)
+
+
+def test_library_knobs_are_all_set_from_options(data_dir, tmp_path, monkeypatch):
+    """cmd_flow sets every FlowConfig field and cmd_calibrate every calibrate_sigma parameter."""
+    passed = {}
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            passed[name] = set(inspect.signature(fn).bind(*args, **kwargs).arguments)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "FlowConfig", recording("flow", cli.FlowConfig))
+    monkeypatch.setattr(cli, "calibrate_sigma", recording("calibrate", cli.calibrate_sigma))
+    assert cli.main(["flow", "--source", str(data_dir / "src2d.csv"),
+                     "--target", str(data_dir / "tgt2d.csv"), "--iters", "2", "--lr", "0.1",
+                     "--k", "4", "--out", str(tmp_path / "f")]) == 0
+    assert cli.main(["calibrate", "--eps", "5", "--delta", "1e-5", "--dim", "100", "--k", "64",
+                     "--n", "2000", "--epochs", "2", "--batch", "200"]) == 0
+    assert passed["flow"] == {f.name for f in dataclasses.fields(dpswd.FlowConfig)}
+    assert passed["calibrate"] == set(inspect.signature(dpswd.calibrate_sigma).parameters)
 
 
 def readme_cli_examples() -> list[list[str]]:

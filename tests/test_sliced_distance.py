@@ -123,7 +123,7 @@ class TestSwd:
         assert swd(uniform, b, cfg).value == pytest.approx(swd(weighted, b, cfg).value, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
+        with pytest.raises(DataError, match="dimension mismatch"):
             swd(gaussian_cloud(3, 2, 0), gaussian_cloud(3, 3, 0), SwdConfig(seed=0))
 
     @pytest.mark.parametrize("field, value", [("q", np.nan), ("q", np.inf), ("q", 0.5),
@@ -131,6 +131,11 @@ class TestSwd:
     def test_config_rejects_non_finite_or_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SwdConfig(**{field: value})
+
+    @pytest.mark.parametrize("k", [2.5, np.float64(3.0), True])
+    def test_config_rejects_non_integer_k(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            SwdConfig(k=k)
 
     def test_sigma_nonzero_rejected(self):
         with pytest.raises(ValueError):
@@ -322,7 +327,7 @@ class TestGradient:
         a, b = gaussian_cloud(8, 3, 1), gaussian_cloud(8, 3, 2)
         with pytest.raises(ValueError, match="q=2"):
             value_and_gradient(a, b, SwdConfig(k=4, q=1, seed=0))
-        with pytest.raises(ValueError, match="equal sample counts"):
+        with pytest.raises(DataError, match="equal sample counts"):
             value_and_gradient(a, gaussian_cloud(7, 3, 3), SwdConfig(k=4, seed=0))
         weighted = from_points(b.points, weights=np.linspace(1, 2, 8))
         with pytest.raises(ValueError, match="uniform"):
