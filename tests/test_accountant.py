@@ -472,6 +472,15 @@ class TestDirectionPolicy:
         assert result.sensitivity.w == per_draw.w
         assert result.eps_achieved == acc.account(result.sigma, self.budget, bound)[0]
 
+    def test_known_sensitivity_charged_at_its_own_bound(self):
+        # a bound with no tail is charged as given at each of the T steps
+        bound = fixed_sensitivity(1.0)
+        spec = acc.MechanismSpec(sigma=1.5, sensitivity_sq=bound.w)
+        curve = acc.compose(acc.subsampled_rdp(spec, 0.02), 500)
+        assert acc.account(1.5, self.budget, bound) == acc.rdp_to_dp(curve, self.budget.delta_conversion)
+        result = acc.calibrate_sigma(self.budget, bound)
+        assert result.sensitivity is bound
+
     def test_single_step_unchanged(self):
         budget = acc.PrivacyBudget(eps_target=3.0, delta_target=1e-6, delta_split=0.5)
         bound = bernstein_bound(100, 50, budget.delta_sensitivity)
