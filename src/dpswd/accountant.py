@@ -166,9 +166,17 @@ def dense_orders() -> np.ndarray:
 
 
 def gaussian_rdp(spec: MechanismSpec, orders=None) -> RdpCurve:
-    """Unamplified Gaussian mechanism: eps(alpha) = alpha * w / (2 sigma^2)."""
+    """Unamplified Gaussian mechanism: eps(alpha) = alpha * w / (2 sigma^2).
+
+    Raises ValueError naming sigma when that overflows float64 at an order.
+    """
     o = default_orders() if orders is None else np.asarray(orders, dtype=float)
-    return RdpCurve(o, o * spec.sensitivity_sq / (2.0 * spec.sigma**2))
+    with np.errstate(over="ignore"):
+        eps = o * spec.sensitivity_sq / (2.0 * spec.sigma**2)
+    if not np.isfinite(eps).all():
+        raise ValueError(f"sigma={spec.sigma:g} is out of range: alpha * w / (2 sigma^2) overflows "
+                         f"at order {o[~np.isfinite(eps)][0]:g}, with w={spec.sensitivity_sq:g}")
+    return RdpCurve(o, eps)
 
 
 @dataclass(frozen=True)
@@ -251,8 +259,10 @@ def subsampled_rdp(
         return base
     table = _amplification_table(base.orders.tobytes(), gamma, method)
     eps_j = table.j * (spec.sensitivity_sq / (2.0 * spec.sigma**2))
-    eps_int = _amplified_integer_rdp(table, eps_j, method)
-    return RdpCurve(o, np.minimum(eps_int[table.row], base.eps_at_order))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        eps_int = _amplified_integer_rdp(table, eps_j, method)
+    # an order whose amplified bound overflows float64 (NaN) keeps the unamplified value
+    return RdpCurve(o, np.fmin(eps_int[table.row], base.eps_at_order))
 
 
 def compose(curve: RdpCurve, steps: int) -> RdpCurve:

@@ -198,6 +198,9 @@ def cmd_toy(args) -> int:
             values_plain[r, ci] = swd(source, target, cfg0).value
             cfgs = SwdConfig(k=args.k, q=2.0, seed=rep_seed, sigma=args.sigma)
             values_noised[r, ci] = smoothed_swd(source, target, cfgs).value
+    for flag, values in (("--grid", values_plain), ("--sigma", values_noised)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"the estimate is not finite (float64 overflow): reduce {flag}")
     ddof = 1 if args.repeats > 1 else 0
     rows = []
     for ci, c in enumerate(grid):

@@ -68,7 +68,11 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowTrace:
-    """Logged descent history and the final particle positions."""
+    """Logged descent history and the final particle positions.
+
+    final_points is read-only, like the points of an EmpiricalMeasure, which
+    adopts it without a copy; copy it before writing to it.
+    """
 
     iterations: np.ndarray
     losses: np.ndarray
@@ -95,6 +99,18 @@ def _privacy_report(target: EmpiricalMeasure, cfg: FlowConfig) -> tuple:
     bound = budget.tail_bound(cfg.bound_kind, cfg.k, target.dim)
     eps, order = account(cfg.sigma, budget, bound, amplification="subsample")
     return eps, cfg.delta, order, charged_bound(budget, bound)
+
+
+def _step_target(target: EmpiricalMeasure, cfg: FlowConfig, step: int) -> EmpiricalMeasure:
+    """The whole target, or the step's seeded batch of its rows."""
+    if cfg.batch_size is None or cfg.batch_size == target.n:
+        return target
+    picks = substream(cfg.seed, PURPOSE_DATA, step).choice(
+        target.n, size=cfg.batch_size, replace=False
+    )
+    rows = target.points[np.sort(picks)]
+    rows.setflags(write=False)  # the measure adopts the fresh array
+    return EmpiricalMeasure(rows)
 
 
 def run_flow(
@@ -128,8 +144,7 @@ def run_flow(
 
     eps, delta, order, bound = _privacy_report(target_private, cfg)
 
-    points = source_init.points.copy()
-    n = points.shape[0]
+    points = source_init.points  # read-only; every step makes a new array
     iters, losses, gnorms = [], [], []
 
     def log(i: int, loss: float, gnorm: float) -> None:
@@ -140,15 +155,10 @@ def run_flow(
     for step in range(cfg.iterations):
         step_seed = derive_seed(cfg.seed, step)
         step_cfg = SwdConfig(k=cfg.k, q=2.0, seed=step_seed, sigma=cfg.sigma, noise_seed=step_seed)
-        source = EmpiricalMeasure(points)
-        if cfg.batch_size is None or cfg.batch_size == target_private.n:
-            target = target_private
-        else:
-            picks = substream(cfg.seed, PURPOSE_DATA, step).choice(
-                target_private.n, size=cfg.batch_size, replace=False
-            )
-            target = EmpiricalMeasure(target_private.points[np.sort(picks)])
-        loss, grad = value_and_gradient(source, target, step_cfg)
+        # both measures adopt their read-only arrays and go with the call
+        loss, grad = value_and_gradient(
+            EmpiricalMeasure(points), _step_target(target_private, cfg, step), step_cfg
+        )
         gnorm = float(np.linalg.norm(grad))
         if step % cfg.log_every == 0 or step == cfg.iterations - 1:
             log(step, loss, gnorm)
@@ -162,7 +172,10 @@ def run_flow(
                 f"reduce the learning rate (lr={cfg.learning_rate})",
                 trace,
             )
-        points = points - cfg.learning_rate * grad
+        # points - lr * grad, written over the gradient, which becomes the points
+        grad *= cfg.learning_rate
+        points = np.subtract(points, grad, out=grad)
+        points.setflags(write=False)
 
     return FlowTrace(
         np.array(iters), np.array(losses), np.array(gnorms), points,

@@ -23,7 +23,16 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted point cloud (1/n) sum of Dirac masses, weights summing to 1."""
+    """Weighted point cloud (1/n) sum of Dirac masses, weights summing to 1.
+
+    The points are held read-only. A C-contiguous float64 array that is
+    already read-only and owns its memory (``flags.owndata``) is adopted as
+    it is, without a copy: nothing else can write it without first setting
+    it writeable again. Anything else, such as a writeable array or a view,
+    is copied and the copy frozen, so later writes to the input never reach
+    the measure. Loaders and transforms that build a fresh array freeze it
+    and hand it over this way.
+    """
 
     points: np.ndarray
     weights: np.ndarray = field(repr=False, default=None)
@@ -51,8 +60,9 @@ class EmpiricalMeasure:
             if total <= 0:
                 raise DataError("weights sum to zero")
             w = w / total
-        pts = pts.copy()
-        pts.setflags(write=False)
+        if pts.flags.writeable or not (pts.flags.owndata and pts.flags.c_contiguous):
+            pts = pts.copy()
+            pts.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
@@ -88,7 +98,8 @@ def load_csv(path, has_header: bool = False) -> EmpiricalMeasure:
         points = _bulk_parse(fh, has_header)
     if points is None:
         points = _scan_csv(path, has_header)
-    return from_points(points)
+    points.setflags(write=False)  # the measure adopts the fresh array
+    return EmpiricalMeasure(points)
 
 
 def _bulk_parse(fh, has_header: bool) -> np.ndarray | None:
@@ -183,9 +194,11 @@ def normalize_for_privacy(
             raise DataError(f"clip mode needs a finite positive radius C, got {clip}")
         norms = np.linalg.norm(pts, axis=1)
         factor = np.minimum(1.0, clip / np.maximum(norms, 1e-300))
-        out = pts * factor[:, None] / (2.0 * clip)
+        out = pts * factor[:, None]
+        out /= 2.0 * clip
     else:
         raise DataError(f"unknown normalization mode: {mode!r}")
+    out.setflags(write=False)  # the measure adopts the fresh array
     return EmpiricalMeasure(out, measure.weights)
 
 

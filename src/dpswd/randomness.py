@@ -74,15 +74,20 @@ def sample_sphere(d: int, k: int, seed: Seed) -> np.ndarray:
 
 
 def sample_gaussian_matrix(n: int, k: int, sigma: float, seed: Seed, purpose: int = PURPOSE_NOISE_SOURCE) -> np.ndarray:
-    """n-by-k matrix of i.i.d. N(0, sigma^2) entries; sigma=0 gives zeros."""
+    """n-by-k matrix of i.i.d. N(0, sigma^2) entries; sigma=0 gives zeros.
+
+    Entries that overflow float64 (sigma near its largest value) are +-inf.
+    """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if n < 0 or k < 0:
         raise ValueError("matrix dimensions must be nonnegative")
     if sigma == 0.0:
         return np.zeros((n, k))
-    rng = substream(seed, purpose)
-    return sigma * rng.standard_normal((n, k))
+    noise = substream(seed, purpose).standard_normal((n, k))
+    with np.errstate(over="ignore"):
+        noise *= sigma
+    return noise
 
 
 def inverse_normal_cdf(p: float) -> float:

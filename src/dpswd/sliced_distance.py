@@ -168,9 +168,12 @@ def value_and_gradient(
     if not (a.is_uniform() and b.is_uniform()):
         raise ValueError("uniform weights required for the source gradient")
     directions, source, order, _, target, _ = _release(a, b, cfg)
-    diffs = source - target
+    loss = float(np.mean(per_row_costs(source, None, target, None, cfg.q)))
+    diffs = np.subtract(source, target, out=source)
+    del target
     # scatter sorted differences back to source-row positions, then one matmul
     by_row = np.empty_like(diffs)
     np.put_along_axis(by_row, order, diffs, axis=1)
-    grad = (2.0 / (cfg.k * a.n)) * by_row.T @ directions.T
-    return float(np.mean(per_row_costs(source, None, target, None, cfg.q))), grad
+    del diffs, source, order
+    by_row *= 2.0 / (cfg.k * a.n)
+    return loss, by_row.T @ directions.T

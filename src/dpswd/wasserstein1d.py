@@ -70,20 +70,24 @@ def _as_profile(m) -> SortedProfile:
     return sorted_profile(m)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def per_row_costs(rows_a, weights_a, rows_b, weights_b, q: float) -> np.ndarray:
     """Exact 1-D W_q^q for every row pair of two (k, n) and (k, m) sorted arrays.
 
     Both inverse CDFs are constant between the merged breakpoints of the two
     cumulative-weight ladders; each such segment contributes its length
     times |x - y|^q. Weights of None mean uniform, whose ladders i/n and
-    j/m are shared by every row and merged once.
+    j/m are shared by every row and merged once. A cost that overflows
+    float64 comes back inf or NaN without a numpy warning; callers that
+    report it refuse it.
     """
     n, m = rows_a.shape[1], rows_b.shape[1]
     if weights_a is None and weights_b is None:
         ca, cb = np.arange(1, n + 1) / n, np.arange(1, m + 1) / m
         z = np.union1d(ca, cb)  # i/n == j/m exactly when the fractions are equal
         seg = np.diff(z, prepend=0.0)
-        gaps = rows_a[:, np.searchsorted(ca, z)] - rows_b[:, np.searchsorted(cb, z)]
+        gaps = rows_a[:, np.searchsorted(ca, z)]
+        gaps -= rows_b[:, np.searchsorted(cb, z)]
     else:
         k = rows_a.shape[0]
         ca = np.cumsum(np.full((k, n), 1.0 / n) if weights_a is None else weights_a, axis=1)
@@ -98,9 +102,12 @@ def per_row_costs(rows_a, weights_a, rows_b, weights_b, q: float) -> np.ndarray:
         from_a = order < n
         ia = np.cumsum(from_a, axis=1) - from_a
         ib = np.arange(n + m) - ia
-        gaps = (np.take_along_axis(rows_a, np.minimum(ia, n - 1), axis=1)
-                - np.take_along_axis(rows_b, np.minimum(ib, m - 1), axis=1))
-    return np.sum(np.abs(gaps) ** q * seg, axis=1)
+        gaps = np.take_along_axis(rows_a, np.minimum(ia, n - 1), axis=1)
+        gaps -= np.take_along_axis(rows_b, np.minimum(ib, m - 1), axis=1)
+    np.abs(gaps, out=gaps)
+    gaps **= q
+    gaps *= seg
+    return np.sum(gaps, axis=1)
 
 
 def wasserstein_1d_q(a, b, q: float = 2.0) -> float:

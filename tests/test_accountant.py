@@ -45,6 +45,11 @@ class TestGaussianRdp:
             acc.MechanismSpec(sigma=1e160, sensitivity_sq=1.0)
         with pytest.raises(ValueError, match="sigma=1e-200 is out of range"):
             acc.MechanismSpec(sigma=1e-200, sensitivity_sq=1.0)
+        # the rate is finite, but alpha times it overflows at order 256
+        for sigma in (3e-154, 1e-153):
+            spec = acc.MechanismSpec(sigma=sigma, sensitivity_sq=4.0)
+            with pytest.raises(ValueError, match=f"sigma={sigma:g} is out of range"):
+                acc.gaussian_rdp(spec)
 
 
 class TestSubsampledRdp:
@@ -69,6 +74,17 @@ class TestSubsampledRdp:
             for gamma in (0.001, 0.05, 0.3, 0.9):
                 sub = acc.subsampled_rdp(spec, gamma, method=method)
                 assert (sub.eps_at_order <= base.eps_at_order + 1e-15).all()
+
+    @pytest.mark.parametrize("method", ["subsample", "poisson"])
+    def test_overflowing_amplified_order_keeps_base_value(self, method, recwarn):
+        # the base curve is finite at every order, but (j - 1) eps(j) is not
+        spec = acc.MechanismSpec(sigma=1e-152, sensitivity_sq=8.96)
+        base = acc.gaussian_rdp(spec)
+        sub = acc.subsampled_rdp(spec, 0.25, method=method)
+        assert not recwarn.list
+        assert np.isfinite(sub.eps_at_order).all()
+        assert (sub.eps_at_order <= base.eps_at_order).all()
+        assert sub.eps_at_order[-1] == base.eps_at_order[-1]
 
     @pytest.mark.parametrize("method", ["subsample", "poisson"])
     def test_monotone_in_gamma(self, method):

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -162,13 +163,20 @@ class TestCompute:
         assert r.returncode == 2
 
     def test_non_finite_distance_is_data_error(self, data_dir, tmp_path):
-        # the projections of 1e200 square to infinity in float64
+        # the projections of 1e200 square to infinity in float64, and so do
+        # noise at sigma = 1e160 and (as inf - inf) noise that itself overflows
         (tmp_path / "huge.csv").write_text("1e200,0\n0,1\n")
-        r = run_cli("compute", "--a", str(tmp_path / "huge.csv"), "--b", str(data_dir / "tgt2d.csv"),
-                    "--k", "8")
-        assert r.returncode == 3
-        assert r.stdout == ""
-        assert "not finite" in r.stderr
+        pairs = [(str(tmp_path / "huge.csv"), str(data_dir / "tgt2d.csv"))]
+        for sigma in ("1e160", "1e308"):
+            pairs.append((str(data_dir / "a.csv"), str(data_dir / "b.csv"),
+                          "--sigma", sigma, "--normalize", "clip:4"))
+        for a, b, *extra in pairs:
+            r = run_cli("compute", "--a", a, "--b", b, "--k", "8", *extra)
+            assert r.returncode == 3
+            assert r.stdout == ""
+            # one line: no numpy warning before the message
+            assert r.stderr.startswith("error: the distance is not finite")
+            assert r.stderr.count("\n") == 1
 
 
 def private_input_argv(subcommand, first, second, tmp_path):
@@ -267,6 +275,17 @@ class TestToyCmd:
         payload = json.loads(r.stdout)
         assert payload["manifest"]["params"]["grid"] == "0.2:0.4:0.1"
         assert [row["c"] for row in payload["rows"]] == pytest.approx([0.2, 0.3, 0.4])
+
+    @pytest.mark.parametrize("flag, sigma, grid", [("--sigma", "1e160", "0:0.1:0.1"),
+                                                   ("--sigma", "1e308", "0:0.1:0.1"),
+                                                   ("--grid", "1", "0:1e200:1e200")])
+    def test_non_finite_estimate_is_usage_error(self, flag, sigma, grid):
+        r = run_cli("toy", "--n", "10", "--k", "4", "--sigma", sigma, "--grid", grid,
+                    "--repeats", "1", "--seed", "0")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        # one line: no numpy warning and no JSON encoder message
+        assert r.stderr == f"error: the estimate is not finite (float64 overflow): reduce {flag}\n"
 
     def test_zero_repeats_is_usage_error(self):
         r = run_cli("toy", "--d", "2", "--n", "10", "--k", "4", "--repeats", "0", "--seed", "9")
@@ -454,7 +473,8 @@ class TestFlowCmd:
         assert r.returncode == 3
         assert "equal sample counts required" in r.stderr
 
-    @pytest.mark.parametrize("sigma", ["1e160", "1e-200"])
+    # at 3e-154 and 1e-153 the rate is finite, but not alpha times it at order 256
+    @pytest.mark.parametrize("sigma", ["1e160", "1e-200", "3e-154", "1e-153"])
     def test_sigma_without_finite_rdp_rate_is_usage_error(self, data_dir, tmp_path, sigma):
         r = run_cli("flow", "--source", str(data_dir / "src2d.csv"),
                     "--target", str(data_dir / "tgt2d.csv"),
@@ -465,6 +485,19 @@ class TestFlowCmd:
         # one line: no traceback and no numpy warning before the message
         assert r.stderr.startswith(f"error: sigma={float(sigma):g} is out of range")
         assert r.stderr.count("\n") == 1
+
+    def test_batch_sigma_whose_amplified_bound_overflows_runs_silently(self, data_dir, tmp_path):
+        # at sigma = 1e-152 the base curve is finite, but not the subsampled
+        # terms; those orders are charged the unamplified bound
+        np.savetxt(tmp_path / "t40.csv", np.random.default_rng(1).standard_normal((40, 2)),
+                   delimiter=",")
+        r = run_cli("flow", "--source", str(data_dir / "src2d.csv"),
+                    "--target", str(tmp_path / "t40.csv"), "--batch", "20",
+                    "--iters", "2", "--lr", "0.1", "--k", "4", "--sigma", "1e-152",
+                    "--normalize", "clip:4", "--out", str(tmp_path / "o"))
+        assert r.returncode == 0
+        assert r.stderr == ""
+        assert 1e300 < json.loads(r.stdout)["eps"] < math.inf
 
     def test_tail_bound_without_delta_share_is_usage_error(self, data_dir, tmp_path):
         r = run_cli("flow", "--source", str(data_dir / "src2d.csv"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,30 @@ class TestRunFlow:
         cfg = FlowConfig(iterations=5, learning_rate=0.1, k=8, sigma=1.0, delta_split=0.0)
         with pytest.raises(ValueError, match="delta_split must be > 0"):
             run_flow(src, tgt, cfg)
+
+    def test_source_unchanged_and_final_points_read_only(self):
+        src, tgt = cloud(15, 2, 27, shift=2.0), cloud(15, 2, 28)
+        before = src.points.copy()
+        trace = run_flow(src, tgt, FlowConfig(iterations=3, learning_rate=0.5, k=8, seed=29))
+        assert np.array_equal(src.points, before)
+        assert not trace.final_points.flags.writeable
+        assert not np.shares_memory(trace.final_points, src.points)
+        assert np.shares_memory(EmpiricalMeasure(trace.final_points).points, trace.final_points)
+
+    def test_peak_memory(self):
+        # the points, the new gradient that becomes the next points, and the
+        # (k, n) release arrays; the inputs exist before tracing starts
+        n, d, k = 2000, 200, 50
+        src = cloud(n, d, 33, shift=1.0)
+        tgt = normalize_for_privacy(cloud(n, d, 34), mode="clip", clip=30.0)
+        cfg = FlowConfig(iterations=3, learning_rate=1.0, k=k, sigma=0.5, seed=35)
+        tracemalloc.start()
+        try:
+            run_flow(src, tgt, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * d * 8
 
     def test_deterministic(self):
         src, tgt = cloud(15, 2, 24, shift=2.0), cloud(15, 2, 25)

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,61 @@ class TestFromPoints:
         m = ms.from_points([[1.0, 2.0]])
         with pytest.raises(ValueError):
             m.points[0, 0] = 7.0
+
+
+def frozen(array):
+    array.setflags(write=False)
+    return array
+
+
+class TestOwnership:
+    def test_adopts_read_only_array_that_owns_its_data(self):
+        pts = frozen(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert np.shares_memory(ms.EmpiricalMeasure(pts).points, pts)
+
+    def test_copies_writeable_array(self):
+        pts = np.array([[1.0, 2.0], [3.0, 4.0]])
+        m = ms.EmpiricalMeasure(pts)
+        assert not np.shares_memory(m.points, pts)
+        pts[0, 0] = 99.0
+        assert m.points[0, 0] == 1.0
+        assert not m.points.flags.writeable
+
+    def test_copies_read_only_view(self):
+        base = np.arange(8.0).reshape(4, 2).copy()
+        view = frozen(base[:2])
+        m = ms.EmpiricalMeasure(view)
+        assert not np.shares_memory(m.points, base)
+        base[0, 0] = 99.0
+        assert m.points[0, 0] == 0.0
+
+    def test_copies_read_only_non_contiguous_array(self):
+        pts = frozen(np.asfortranarray(np.arange(6.0).reshape(3, 2)))
+        m = ms.EmpiricalMeasure(pts)
+        assert not np.shares_memory(m.points, pts)
+        assert m.points.flags.c_contiguous
+
+    def test_loader_and_normalization_hand_over_fresh_arrays(self, tmp_path):
+        (tmp_path / "d.csv").write_text("3,4\n0,1\n")
+        loaded = ms.load_csv(tmp_path / "d.csv")
+        assert loaded.points.flags.owndata and not loaded.points.flags.writeable
+        for mode, clip in (("max-norm", None), ("clip", 2.0)):
+            out = ms.normalize_for_privacy(loaded, mode=mode, clip=clip)
+            assert out.points.flags.owndata and not out.points.flags.writeable
+            assert not np.shares_memory(out.points, loaded.points)
+
+    def test_load_and_normalize_peak_memory(self, tmp_path):
+        # each step holds its input and its output, never a third copy
+        n, d = 2000, 200
+        rng = np.random.default_rng(4)
+        ms.save_csv(ms.from_points(rng.standard_normal((n, d))), tmp_path / "big.csv")
+        tracemalloc.start()
+        try:
+            ms.normalize_for_privacy(ms.load_csv(tmp_path / "big.csv"), mode="clip", clip=30.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * d * 8
 
 
 class TestCsv:
