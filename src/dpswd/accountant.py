@@ -5,7 +5,7 @@ eps(alpha) = alpha * w / (2 sigma^2) at every Renyi order alpha > 1.
 Mini-batch training composes T subsampled copies of the mechanism; the
 composed curve converts to an (eps, delta)-DP statement by minimizing
 eps(alpha) + ln(1/delta)/(alpha - 1) over a grid of orders, and
-calibration inverts that map by bisection on sigma.
+calibration inverts that map by a bracketing root search on log sigma.
 
 Two amplification-by-subsampling upper bounds are implemented, both
 integer-order binomial expansions over the base curve's integer values
@@ -340,7 +340,7 @@ class CalibrationResult:
 
 _SIGMA_LO = 1e-3
 _SIGMA_HI = 1e3
-_BISECT_STEPS = 60
+_SIGMA_RTOL = 1e-12  # the search stops once the bracket has hi / lo - 1 <= this
 
 
 def calibrate_sigma(
@@ -349,44 +349,72 @@ def calibrate_sigma(
     orders=None,
     amplification: str = "subsample",
 ) -> CalibrationResult:
-    """Smallest noise level in [1e-3, 1e3] meeting the budget, by bisection.
+    """Smallest noise level in [1e-3, 1e3] meeting the budget, to 1e-12 relative.
 
-    The achieved eps is monotone decreasing in sigma, so 60 bisection steps
-    on [1e-3, 1e3] pin the crossing to far below the 1e-4 relative
-    contract; the returned sigma always satisfies account(sigma) <=
-    eps_target. A budget that the bracket floor sigma = 1e-3 already meets
-    is clamped: the floor is returned, though a smaller sigma may meet it
-    too. Each bisection step is one account() evaluation; the
-    sigma-independent amplification table is built by the first and reused
-    by the rest. The charged bound is computed once, up front, so a bound
-    above the budget's sensitivity share is refused before any evaluation;
-    it is reported as the result's sensitivity. Raises
+    The achieved eps is monotone decreasing in sigma. The search keeps a
+    bracket lo < hi with account(lo) > eps_target >= account(hi), each side
+    decided by comparing eps itself to eps_target, and narrows it by the
+    Illinois variant of regula falsi on (log sigma, log(eps / eps_target))
+    until hi / lo - 1 <= 1e-12. It returns hi with the eps and order of its
+    own evaluation, so account(sigma) <= eps_target always holds, and the
+    evaluated lo just below sigma misses the target. Two safeguards bound
+    the search: every step lands at least half the tolerance inside the
+    bracket, so an accurate estimate closes it at once, and after four
+    steps that fail to halve the bracket the next one bisects it. The
+    reference schedules take 10 to 21 account() evaluations (bisection took
+    63); the sigma-independent amplification table is built by the first
+    and reused by the rest. A budget that the bracket floor sigma = 1e-3
+    already meets is clamped: the floor is returned, though a smaller sigma
+    may meet it too. The charged bound is computed once, up front, so a
+    bound above the budget's sensitivity share is refused before any
+    evaluation; it is reported as the result's sensitivity. Raises
     InfeasibleBudgetError when even the largest sigma in the bracket cannot
     reach the target, reporting eps at both ends.
     """
 
     charged = charged_bound(budget, sensitivity)
+    target = budget.eps_target
 
     def evaluate(s: float) -> tuple[float, float]:
         return account(s, budget, sensitivity, orders, amplification)
 
-    eps_lo, eps_hi = evaluate(_SIGMA_LO)[0], evaluate(_SIGMA_HI)[0]
-    if eps_hi > budget.eps_target:
+    lo, hi = _SIGMA_LO, _SIGMA_HI
+    (eps_lo, order_lo), (eps_hi, order_hi) = evaluate(lo), evaluate(hi)
+    if eps_hi > target:
         raise InfeasibleBudgetError(
-            f"budget eps={budget.eps_target} infeasible: achieved eps ranges from "
-            f"{eps_hi:.6g} (sigma={_SIGMA_HI}) to {eps_lo:.6g} (sigma={_SIGMA_LO})"
+            f"budget eps={target} infeasible: achieved eps ranges from "
+            f"{eps_hi:.6g} (sigma={hi}) to {eps_lo:.6g} (sigma={lo})"
         )
-    if eps_lo <= budget.eps_target:
+    if eps_lo <= target:
         # the bracket floor already meets the target: clamp to it rather
         # than search below it
-        eps, order = evaluate(_SIGMA_LO)
-        return CalibrationResult(_SIGMA_LO, eps, order, charged, amplification)
-    lo, hi = _SIGMA_LO, _SIGMA_HI
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if evaluate(mid)[0] > budget.eps_target:
-            lo = mid
+        return CalibrationResult(lo, eps_lo, order_lo, charged, amplification)
+    x_lo, x_hi = math.log(lo), math.log(hi)
+    f_lo, f_hi = math.log(eps_lo / target), math.log(eps_hi / target)
+    min_step = 0.5 * math.log1p(_SIGMA_RTOL)
+    moved = 0  # the end the previous step replaced: -1 lo, +1 hi
+    halved_width, stalled = x_hi - x_lo, 0
+    while hi / lo - 1 > _SIGMA_RTOL:
+        if stalled == 4 or f_lo == f_hi:
+            x = 0.5 * (x_lo + x_hi)
         else:
-            hi = mid
-    eps, order = evaluate(hi)
-    return CalibrationResult(hi, eps, order, charged, amplification)
+            x = x_hi - f_hi * (x_hi - x_lo) / (f_hi - f_lo)
+        x = min(max(x, x_lo + min_step), x_hi - min_step)
+        s = math.exp(x)
+        eps, order = evaluate(s)
+        f = math.log(eps / target)
+        if eps > target:
+            lo, x_lo, f_lo = s, x, f
+            if moved < 0:  # hi kept twice: halve its value (Illinois)
+                f_hi *= 0.5
+            moved = -1
+        else:
+            hi, x_hi, f_hi, eps_hi, order_hi = s, x, f, eps, order
+            if moved > 0:
+                f_lo *= 0.5
+            moved = 1
+        if x_hi - x_lo <= 0.5 * halved_width:
+            halved_width, stalled = x_hi - x_lo, 0
+        else:
+            stalled += 1
+    return CalibrationResult(hi, eps_hi, order_hi, charged, amplification)

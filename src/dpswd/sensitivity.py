@@ -16,14 +16,16 @@ the proposal is exp(c (log(1 - t^2) + t^2)) <= 1, so this is rejection
 sampling under a Gaussian envelope (acceptance 63% at d = 4, 99.9% at
 d = 784). For d = 2, 3 there is no such envelope (c <= 0), and a term is
 g^2 / (g^2 + Q) with g standard normal and Q chi-square with d - 1 degrees
-of freedom. Trials are filled in blocks of _ROW_BLOCK rows, so a thread's
-scratch is a few (_ROW_BLOCK x k) arrays: three float64 ones and their masks.
+of freedom. Trials are filled in blocks of _ROW_BLOCK rows into scratch
+that each worker thread allocates once: three float64 (_ROW_BLOCK x k)
+arrays and one bool mask, reused by every block it fills.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,8 +40,6 @@ _TRIAL_CHUNK = 1024
 # Trials drawn at a time within a chunk; also part of the sample's definition,
 # since a block's redraws come from the generator before the next block.
 _ROW_BLOCK = 128
-
-_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -139,43 +139,65 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _ratio_terms(rng: np.random.Generator, shape: tuple[int, int], d: int) -> np.ndarray:
-    """Beta(1/2, (d-1)/2) terms as g^2 / (g^2 + Q), Q ~ chi-square(d-1); any d >= 2."""
-    ratio = rng.standard_normal(shape)
+def _ratio_terms(
+    rng: np.random.Generator, d: int, scratch: np.ndarray, rejected: np.ndarray
+) -> np.ndarray:
+    """Beta(1/2, (d-1)/2) terms as g^2 / (g^2 + Q), Q ~ chi-square(d-1); any d >= 2.
+
+    Fills and returns scratch[0]; rejected is unused.
+    """
+    ratio = rng.standard_normal(out=scratch[0])
     np.square(ratio, out=ratio)
-    total = rng.chisquare(d - 1, size=shape)
+    total = rng.chisquare(d - 1, size=ratio.shape)
     total += ratio
     return np.divide(ratio, total, out=ratio)
 
 
-def _envelope_terms(rng: np.random.Generator, shape: tuple[int, int], d: int) -> np.ndarray:
+def _propose(
+    rng: np.random.Generator, d: int, x: np.ndarray, e: np.ndarray, threshold: np.ndarray,
+    rejected: np.ndarray,
+) -> None:
+    """Fill x with proposals t^2 and rejected with their rejection decisions.
+
+    x, e and threshold are same-shape float64 scratch and rejected a bool one;
+    the proposals come first from the generator, then the exponentials.
+    """
+    rng.standard_normal(out=x)
+    np.square(x, out=x)
+    x /= d - 3
+    rng.standard_exponential(out=e)
+    # -c (log1p(-x) + x); x >= 1 lies outside the target's support, and there
+    # log1p(-min(x, 1)) = -inf makes the threshold +inf, so it is rejected
+    c = (d - 3) / 2
+    np.minimum(x, 1.0, out=threshold)
+    np.negative(threshold, out=threshold)
+    with np.errstate(divide="ignore"):
+        np.log1p(threshold, out=threshold)
+    threshold += x
+    threshold *= -c
+    np.less(e, threshold, out=rejected)
+
+
+def _envelope_terms(
+    rng: np.random.Generator, d: int, scratch: np.ndarray, rejected: np.ndarray
+) -> np.ndarray:
     """Beta(1/2, (d-1)/2) terms by Gaussian-envelope rejection; d >= 4.
 
-    Draws every proposal and exponential of the block, then redraws the
-    rejected slots, in row-major order, until none is left.
+    Draws every proposal and exponential of the block into scratch (three
+    float64 arrays of the block's shape) and its decisions into rejected,
+    then redraws the rejected slots, in row-major order, until none is
+    left. Returns scratch[0], which holds the terms.
     """
-    c = (d - 3) / 2
-
-    def propose(size):
-        x = rng.standard_normal(size)
-        np.square(x, out=x)
-        x /= d - 3
-        e = rng.standard_exponential(size)
-        # -c (log1p(-x) + x) with x clamped below 1, so log1p stays finite;
-        # x >= 1 lies outside the target's support and is always rejected
-        threshold = np.minimum(x, _BELOW_ONE)
-        np.negative(threshold, out=threshold)
-        np.log1p(threshold, out=threshold)
-        threshold += x
-        threshold *= -c
-        return x, (e < threshold) | (x >= 1.0)
-
-    terms, rejected = propose(shape)
+    terms = scratch[0]
+    _propose(rng, d, *scratch, rejected)
     slots = np.flatnonzero(rejected)
     while slots.size:
-        x, rejected = propose(slots.size)
-        terms.flat[slots[~rejected]] = x[~rejected]
-        slots = slots[rejected]
+        # redraw rounds are a small share of the block and allocate their own
+        x, e, threshold = np.empty((3, slots.size))
+        again = np.empty(slots.size, dtype=bool)
+        _propose(rng, d, x, e, threshold, again)
+        terms.flat[slots[~again]] = x[~again]
+        slots = slots[again]
     return terms
 
 
@@ -194,8 +216,13 @@ def simulate_sensitivity(d: int, k: int, trials: int, seed: Seed) -> np.ndarray:
     only on (seed, d, k, trials). The chunks run concurrently on up to one
     thread per usable CPU (numpy releases the GIL inside its fills); each
     writes only its own slice, so the CPU count never changes the sample.
-    d, k and trials must be integers (numpy's included); anything else is a
-    ValueError.
+    A thread draws every block of its chunks into one scratch of three
+    (_ROW_BLOCK, k) float64 arrays and a bool mask, allocated at its first
+    chunk; a partial block uses the leading rows. Held for the whole call,
+    the scratch goes back to the system when the call ends; scratch
+    allocated per chunk would stay resident in glibc's per-thread arenas.
+    d, k and trials must be integers (numpy's included); anything else is
+    a ValueError.
     """
     _check_count("trials", trials, 1)
     _check_count("k", k, 1)
@@ -209,12 +236,17 @@ def simulate_sensitivity(d: int, k: int, trials: int, seed: Seed) -> np.ndarray:
     # built on the calling thread, so every dpswd call stays here and the
     # workers run numpy only
     rngs = [substream(seed, PURPOSE_SENSITIVITY, i) for i in range(len(starts))]
+    per_thread = threading.local()
 
     def fill(start: int, rng: np.random.Generator) -> None:
+        if not hasattr(per_thread, "scratch"):  # this worker thread's first chunk
+            per_thread.scratch = np.empty((3, _ROW_BLOCK, k)), np.empty((_ROW_BLOCK, k), dtype=bool)
+        scratch, rejected = per_thread.scratch
         stop = min(start + _TRIAL_CHUNK, trials)
         for lo in range(start, stop, _ROW_BLOCK):
-            hi = min(lo + _ROW_BLOCK, stop)
-            out[lo:hi] = draw_terms(rng, (hi - lo, k), d).sum(axis=1)
+            rows = min(_ROW_BLOCK, stop - lo)  # a partial block uses the leading rows
+            # the terms alias the scratch, so they are summed before the next block
+            out[lo:lo + rows] = draw_terms(rng, d, scratch[:, :rows], rejected[:rows]).sum(axis=1)
 
     with ThreadPoolExecutor(max_workers=min(len(rngs), _usable_cpus())) as pool:
         list(pool.map(fill, starts, rngs))  # reading each result re-raises a worker's error

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 
@@ -314,6 +315,25 @@ class TestCalibration:
         # the floor is a clamp: a smaller sigma meets this budget too
         assert acc.account(1e-4, budget, bound)[0] <= budget.eps_target
 
+    def test_flat_crossing_is_bisected(self, monkeypatch):
+        # eps = 10 exp(-(log sigma - 0.3)^3) has zero slope where it crosses
+        # the target: regula falsi alone takes over 20000 steps on it, so the
+        # search must bisect whenever four steps fail to halve the bracket
+        # (and eps rounds to the target within about 1e-5 of the crossing)
+        evaluations = []
+
+        def flat_account(sigma, *args, **kwargs):
+            evaluations.append(sigma)
+            return 10.0 * math.exp(-((math.log(sigma) - 0.3) ** 3)), 2.0
+
+        monkeypatch.setattr(acc, "account", flat_account)
+        budget = acc.PrivacyBudget(eps_target=10.0, delta_target=1e-5, delta_split=0.0)
+        result = acc.calibrate_sigma(budget, fixed_sensitivity(1.0))
+        assert result.eps_achieved <= 10.0
+        assert result.sigma == pytest.approx(math.exp(0.3), rel=1e-5)
+        halvings = math.ceil(math.log2(math.log(1e6) / 1e-12))
+        assert len(evaluations) <= 2 + 5 * halvings
+
     def test_infeasible_budget_reports_ends(self):
         budget = acc.PrivacyBudget(
             eps_target=0.01, delta_target=1e-7, steps=10**6, sampling_rate=1.0, delta_split=0.0
@@ -354,33 +374,34 @@ REFERENCE_ROWS = {
 }
 
 # calibrate_sigma at eps = 10, delta_split = 0.5, fresh directions, as
-# computed by the log-sum-exp over the full (orders x j) array before the
-# amplification table was cached; every later build must give these bits.
+# computed by the regula falsi search that replaced bisection (each sigma
+# at most 5e-13 relative above bisection's); every later build must give
+# these bits.
 CALIBRATION_PINS = [
-    ("mnist-bernstein", "subsample", "default", 2.8571773283845285, 9.999999999998991, 4.0),
-    ("mnist-bernstein", "subsample", "dense", 2.8571773283845285, 9.999999999998991, 4.0),
-    ("mnist-bernstein", "poisson", "default", 2.5214686729722793, 9.999999999993566, 3.0),
-    ("mnist-bernstein", "poisson", "dense", 2.5214686729722793, 9.999999999993566, 3.0),
+    ("mnist-bernstein", "subsample", "default", 2.8571773283845494, 9.999999999998991, 4.0),
+    ("mnist-bernstein", "subsample", "dense", 2.8571773283845494, 9.999999999998991, 4.0),
+    ("mnist-bernstein", "poisson", "default", 2.521468672973368, 9.999999999986958, 3.0),
+    ("mnist-bernstein", "poisson", "dense", 2.521468672973368, 9.999999999986958, 3.0),
     ("mnist-bernstein", "none", "default", 588.7946772284032, 10.0, 4.0),
-    ("mnist-bernstein", "none", "dense", 588.7509597948543, 10.0, 3.75),
-    ("mnist-clt", "subsample", "default", 0.8837197533672079, 9.999999999998991, 4.0),
-    ("mnist-clt", "subsample", "dense", 0.8837197533672079, 9.999999999998991, 4.0),
-    ("mnist-clt", "poisson", "default", 0.7798856765611006, 9.999999999993566, 3.0),
-    ("mnist-clt", "poisson", "dense", 0.7798856765611006, 9.999999999993566, 3.0),
-    ("mnist-clt", "none", "default", 182.1131232475542, 10.0, 4.0),
-    ("mnist-clt", "none", "dense", 182.09960152483512, 10.0, 3.75),
-    ("celeba-bernstein", "subsample", "default", 2.921190671039332, 9.999999999999645, 4.0),
-    ("celeba-bernstein", "subsample", "dense", 2.921190671039332, 9.999999999999645, 4.0),
-    ("celeba-bernstein", "poisson", "default", 2.5988822393082973, 9.999999999996382, 4.0),
-    ("celeba-bernstein", "poisson", "dense", 2.5988822393082973, 9.999999999996382, 4.0),
-    ("celeba-bernstein", "none", "default", 651.521150350173, 10.0, 4.0),
-    ("celeba-bernstein", "none", "dense", 648.6146939945993, 10.0, 4.25),
-    ("celeba-clt", "subsample", "default", 0.3817595535386274, 9.999999999999645, 4.0),
-    ("celeba-clt", "subsample", "dense", 0.3817595535386274, 9.999999999999645, 4.0),
-    ("celeba-clt", "poisson", "default", 0.3396382623065161, 9.999999999996382, 4.0),
-    ("celeba-clt", "poisson", "dense", 0.3396382623065161, 9.999999999996382, 4.0),
+    ("mnist-bernstein", "none", "dense", 588.7509597948549, 9.99999999999999, 3.75),
+    ("mnist-clt", "subsample", "default", 0.8837197533672091, 9.999999999998991, 4.0),
+    ("mnist-clt", "subsample", "dense", 0.8837197533672091, 9.999999999998991, 4.0),
+    ("mnist-clt", "poisson", "default", 0.7798856765614538, 9.999999999986958, 3.0),
+    ("mnist-clt", "poisson", "dense", 0.7798856765614538, 9.999999999986958, 3.0),
+    ("mnist-clt", "none", "default", 182.1131232475635, 9.999999999999396, 4.0),
+    ("mnist-clt", "none", "dense", 182.0996015248352, 9.999999999999996, 3.75),
+    ("celeba-bernstein", "subsample", "default", 2.9211906710406748, 9.999999999990292, 4.0),
+    ("celeba-bernstein", "subsample", "dense", 2.9211906710406748, 9.999999999990292, 4.0),
+    ("celeba-bernstein", "poisson", "default", 2.598882239308857, 9.99999999999174, 4.0),
+    ("celeba-bernstein", "poisson", "dense", 2.598882239308857, 9.99999999999174, 4.0),
+    ("celeba-bernstein", "none", "default", 651.5211503501943, 9.999999999999662, 4.0),
+    ("celeba-bernstein", "none", "dense", 648.6146939949234, 9.999999999994468, 4.25),
+    ("celeba-clt", "subsample", "default", 0.3817595535386921, 9.999999999999645, 4.0),
+    ("celeba-clt", "subsample", "dense", 0.3817595535386921, 9.999999999999645, 4.0),
+    ("celeba-clt", "poisson", "default", 0.33963826230653954, 9.999999999996382, 4.0),
+    ("celeba-clt", "poisson", "dense", 0.33963826230653954, 9.999999999996382, 4.0),
     ("celeba-clt", "none", "default", 85.14487806102738, 10.0, 4.0),
-    ("celeba-clt", "none", "dense", 84.76504408042366, 10.0, 4.25),
+    ("celeba-clt", "none", "dense", 84.76504408042433, 9.999999999999913, 4.25),
 ]
 
 
@@ -398,6 +419,47 @@ def reference_calibration(*case):
     return acc.calibrate_sigma(budget, bound, orders=grid, amplification=amplification)
 
 
+def counted_account(monkeypatch) -> list:
+    """Record the sigma of every acc.account call from here on."""
+    sigmas, account = [], acc.account
+
+    def counting(sigma, *args, **kwargs):
+        sigmas.append(sigma)
+        return account(sigma, *args, **kwargs)
+
+    monkeypatch.setattr(acc, "account", counting)
+    return sigmas
+
+
+# ε targets for the calibration sweep, drawn once from U[8, 12]
+SWEEP_TARGETS = tuple(float(e) for e in np.random.default_rng(2021).uniform(8.0, 12.0, 15))
+# a mnist-clt target at which feasibility decided on log eps <= log eps_target
+# returned eps = 10.19605148376894, above the target
+LOG_SPACE_TARGET = 10.196051483768937
+
+
+class TestCalibrationSweep:
+    @pytest.mark.parametrize("orders", ["default", "dense"])
+    @pytest.mark.parametrize("amplification", acc.AMPLIFICATION_MODES)
+    @pytest.mark.parametrize("name", list(REFERENCE_ROWS))
+    def test_minimal_sigma_meets_target(self, monkeypatch, name, amplification, orders):
+        account = acc.account
+        evaluations = counted_account(monkeypatch)
+        ten, bound, grid, _ = reference_schedule(name, amplification, orders)
+        targets = SWEEP_TARGETS + ((LOG_SPACE_TARGET,) if name == "mnist-clt" else ())
+        for target in targets:
+            budget = dataclasses.replace(ten, eps_target=target)
+            evaluations.clear()
+            result = acc.calibrate_sigma(budget, bound, orders=grid, amplification=amplification)
+            assert len(evaluations) <= 63  # bisection's count
+            assert account(result.sigma, budget, bound, grid, amplification) == (
+                result.eps_achieved, result.best_order)
+            assert result.eps_achieved <= target
+            if result.sigma != 1e-3:  # the clamp floor need not be minimal
+                eps_below, _ = account(result.sigma * (1 - 1e-10), budget, bound, grid, amplification)
+                assert eps_below > target
+
+
 class TestCalibrationPins:
     @pytest.mark.parametrize("name, amplification, orders, sigma, eps, order", CALIBRATION_PINS)
     def test_bit_identical(self, name, amplification, orders, sigma, eps, order):
@@ -405,12 +467,13 @@ class TestCalibrationPins:
         result = reference_calibration(name, amplification, orders)
         assert (result.sigma, result.eps_achieved, result.best_order) == (sigma, eps, order)
 
-    def test_table_built_once_per_calibration(self):
+    def test_table_built_once_per_calibration(self, monkeypatch):
+        evaluations = counted_account(monkeypatch)
         acc._amplification_table.cache_clear()
         reference_calibration("mnist-clt")
         info = acc._amplification_table.cache_info()
         assert info.misses == 1
-        assert info.hits == 2 + 60  # both bracket ends, then every bisection step
+        assert info.hits == len(evaluations) - 1  # every evaluation after the first
         reference_calibration("mnist-bernstein")  # same grid and gamma: same table
         assert acc._amplification_table.cache_info().misses == 1
 

@@ -230,13 +230,15 @@ class TestSimulation:
 
 
 # d = 2 and 3 take the ratio branch; at d = 4 the redraw loop runs many
-# rounds and a third of the proposals have t^2 >= 1
+# rounds and a third of the proposals have t^2 >= 1; (784, 1000, 1100) is the
+# benchmark's d and k over two chunks, the second ending in a partial block
 PINNED_CASES = [(20, 16, t) for t in (1, 1023, 1024, 1025, 2500)] + [
     (784, 200, 5000),
     (1, 5, 3),
     (2, 7, 1100),
     (3, 7, 1100),
     (4, 16, 2500),
+    (784, 1000, 1100),
 ]
 
 
