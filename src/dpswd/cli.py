@@ -15,6 +15,9 @@ import json
 import math
 import sys
 import time
+import warnings
+from collections.abc import Callable
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -100,18 +103,33 @@ def _parse_normalize(text: str) -> tuple[str, float | None]:
     raise argparse.ArgumentTypeError(f"normalize must be 'max' or 'clip:C', got {text!r}")
 
 
-def _load_inputs(args, *paths) -> list[EmpiricalMeasure]:
-    """Load and normalize each CSV in order; usage errors come before any read."""
+def _input_loader(args) -> Callable[[str], EmpiricalMeasure]:
+    """Load-and-normalize for one CSV; its usage errors are raised here, before any read."""
     if args.sigma > 0 and args.normalize is None:
         raise argparse.ArgumentTypeError(
             "--sigma > 0 requires --normalize: the private mechanism assumes "
             "privacy-normalized inputs (row norms <= 1/2)"
         )
     if args.normalize is None:
-        return [load_csv(path, has_header=args.header) for path in paths]
+        return lambda path: load_csv(path, has_header=args.header)
     mode, radius = _parse_normalize(args.normalize)
-    return [normalize_for_privacy(load_csv(path, has_header=args.header), mode=mode, clip=radius)
-            for path in paths]
+    return lambda path: normalize_for_privacy(load_csv(path, has_header=args.header),
+                                              mode=mode, clip=radius)
+
+
+def _require_counts(args, *names) -> None:
+    """Refuse a count option below 1 as a usage error."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise ValueError(f"--{name} must be >= 1, got {value}")
+
+
+def _output_dir(path: str) -> Path:
+    """Create --out once the arguments are valid, so a bad one fails before any work."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _manifest(args, started: float) -> dict:
@@ -135,7 +153,8 @@ def _emit(payload: dict) -> None:
 def cmd_compute(args) -> int:
     started = time.perf_counter()
     cfg = SwdConfig(k=args.k, q=args.q, seed=args.seed, sigma=args.sigma)
-    a, b = _load_inputs(args, args.a, args.b)
+    load = _input_loader(args)
+    a, b = load(args.a), load(args.b)
     if args.sigma > 0:
         result = dp_swd(a, b, cfg)
     else:
@@ -157,11 +176,11 @@ def cmd_compute(args) -> int:
 def cmd_sensitivity(args) -> int:
     started = time.perf_counter()
     check_delta(args.delta)
+    _require_counts(args, "d", "k", "trials")
+    out = _output_dir(args.out)
     samples = simulate_sensitivity(args.d, args.k, args.trials, args.seed)
     summary = summarize_simulation(samples, args.k, args.d, deltas=(*SUMMARY_DELTAS, args.delta))
     *levels, requested = summary["levels"]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_csv_rows(out / "sensitivity_samples.csv", enumerate(samples.tolist()),
                    header=["trial", "h"])
     payload = {
@@ -178,26 +197,31 @@ def cmd_sensitivity(args) -> int:
     return EXIT_OK
 
 
-def cmd_toy(args) -> int:
-    started = time.perf_counter()
-    for flag, value in (("--n", args.n), ("--d", args.d), ("--repeats", args.repeats)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
-    grid = _parse_grid(args.grid)
+def _toy_sweep(args, grid: list[float], cfg: SwdConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Plain and smoothed SWD per (repeat, shift): each repeat draws its own pair of clouds."""
     values_plain = np.empty((args.repeats, len(grid)))
     values_noised = np.empty((args.repeats, len(grid)))
     for r in range(args.repeats):
         data_rng = substream(args.seed, PURPOSE_DATA, r)
         base_source = data_rng.standard_normal((args.n, args.d))
         base_target = data_rng.standard_normal((args.n, args.d))
-        rep_seed = derive_seed(args.seed, r)
+        noised = replace(cfg, seed=derive_seed(args.seed, r))
+        plain = replace(noised, sigma=0.0)
         source = EmpiricalMeasure(base_source)
         for ci, c in enumerate(grid):
             target = EmpiricalMeasure(base_target + c)
-            cfg0 = SwdConfig(k=args.k, q=2.0, seed=rep_seed, sigma=0.0)
-            values_plain[r, ci] = swd(source, target, cfg0).value
-            cfgs = SwdConfig(k=args.k, q=2.0, seed=rep_seed, sigma=args.sigma)
-            values_noised[r, ci] = smoothed_swd(source, target, cfgs).value
+            values_plain[r, ci] = swd(source, target, plain).value
+            values_noised[r, ci] = smoothed_swd(source, target, noised).value
+    return values_plain, values_noised
+
+
+def cmd_toy(args) -> int:
+    started = time.perf_counter()
+    _require_counts(args, "n", "d", "repeats")
+    grid = _parse_grid(args.grid)
+    cfg = SwdConfig(k=args.k, q=2.0, seed=args.seed, sigma=args.sigma)
+    out = _output_dir(args.out) if args.out else None
+    values_plain, values_noised = _toy_sweep(args, grid, cfg)
     for flag, values in (("--grid", values_plain), ("--sigma", values_noised)):
         if not np.isfinite(values).all():
             raise ValueError(f"the estimate is not finite (float64 overflow): reduce {flag}")
@@ -213,9 +237,7 @@ def cmd_toy(args) -> int:
                 "dpswd_std": float(values_noised[:, ci].std(ddof=ddof)),
             }
         )
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         columns = ["c", "swd_mean", "swd_std", "dpswd_mean", "dpswd_std"]
         write_csv_rows(out / "toy.csv", ([row[k] for k in columns] for row in rows), header=columns)
     _emit({"rows": rows, "manifest": _manifest(args, started)})
@@ -224,9 +246,7 @@ def cmd_toy(args) -> int:
 
 def cmd_calibrate(args) -> int:
     started = time.perf_counter()
-    for flag, value in (("--n", args.n), ("--epochs", args.epochs), ("--batch", args.batch)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
+    _require_counts(args, "n", "epochs", "batch")
     steps = args.epochs * (args.n // args.batch)
     if steps < 1:
         raise DataError(f"schedule has no steps: epochs={args.epochs}, n={args.n}, batch={args.batch}")
@@ -259,7 +279,6 @@ def cmd_calibrate(args) -> int:
 
 
 def _write_trace(out: Path, trace) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     write_csv_rows(
         out / "trace.csv",
         zip(trace.iterations.tolist(), trace.losses.tolist(), trace.grad_norms.tolist()),
@@ -281,8 +300,9 @@ def cmd_flow(args) -> int:
         delta_split=args.delta_split,
         bound_kind=args.bound,
     )
-    source, target = _load_inputs(args, args.source, args.target)
-    out = Path(args.out)
+    load = _input_loader(args)
+    out = _output_dir(args.out)
+    source, target = load(args.source), load(args.target)
     try:
         trace = run_flow(source, target, cfg)
     except FlowDiverged as exc:
@@ -380,11 +400,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except tuple(exc_type for exc_type, _ in _EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for exc_type, code in _EXIT_CODES if isinstance(exc, exc_type))
+    error = None
+    # recorded, so each distinct warning reaches stderr once and without the
+    # source location it was raised at
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.func(args)
+        except tuple(exc_type for exc_type, _ in _EXIT_CODES) as exc:
+            error = exc
+            code = next(exit_code for exc_type, exit_code in _EXIT_CODES
+                        if isinstance(exc, exc_type))
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

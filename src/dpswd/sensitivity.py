@@ -16,9 +16,12 @@ the proposal is exp(c (log(1 - t^2) + t^2)) <= 1, so this is rejection
 sampling under a Gaussian envelope (acceptance 63% at d = 4, 99.9% at
 d = 784). For d = 2, 3 there is no such envelope (c <= 0), and a term is
 g^2 / (g^2 + Q) with g standard normal and Q chi-square with d - 1 degrees
-of freedom. Trials are filled in blocks of _ROW_BLOCK rows into scratch
-that each worker thread allocates once: three float64 (_ROW_BLOCK x k)
-arrays and one bool mask, reused by every block it fills.
+of freedom. Every draw comes from SFC64 Monte Carlo streams
+(randomness.monte_carlo_stream), not from the Philox streams of private
+releases: the simulated quantities are public. Trials are filled in blocks
+of about _BLOCK_TERMS terms into scratch that each worker thread allocates
+once: three float64 (rows x k) arrays and one bool mask, reused by every
+block it fills.
 """
 
 from __future__ import annotations
@@ -32,14 +35,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .randomness import PURPOSE_SENSITIVITY, Seed, inverse_normal_cdf, substream
+from .randomness import PURPOSE_SENSITIVITY, Seed, inverse_normal_cdf, monte_carlo_stream
 
-# Trials per substream. Part of the seeded sample's definition, and the unit of
+# Trials per stream. Part of the seeded sample's definition, and the unit of
 # work that simulate_sensitivity hands to one thread.
 _TRIAL_CHUNK = 1024
-# Trials drawn at a time within a chunk; also part of the sample's definition,
-# since a block's redraws come from the generator before the next block.
-_ROW_BLOCK = 128
+# Terms drawn at a time within a chunk: a block has min(_TRIAL_CHUNK,
+# max(1, _BLOCK_TERMS // k)) rows, so small k does not pay Python's per-block
+# overhead on tiny blocks. Also part of the sample's definition, since a
+# block's redraws come from the generator before the next block.
+_BLOCK_TERMS = 2**17
 
 
 @dataclass(frozen=True)
@@ -212,15 +217,16 @@ def simulate_sensitivity(d: int, k: int, trials: int, seed: Seed) -> np.ndarray:
     log of the target density (1 - t^2)^c over the proposal's. For d = 2, 3
     a term is g^2 / (g^2 + Q), Q ~ chi-square(d-1); for d = 1 it is 1.
     Trials are generated in chunks of _TRIAL_CHUNK, chunk i from its own
-    substream i and filled _ROW_BLOCK rows at a time, so the sample depends
-    only on (seed, d, k, trials). The chunks run concurrently on up to one
-    thread per usable CPU (numpy releases the GIL inside its fills); each
-    writes only its own slice, so the CPU count never changes the sample.
-    A thread draws every block of its chunks into one scratch of three
-    (_ROW_BLOCK, k) float64 arrays and a bool mask, allocated at its first
-    chunk; a partial block uses the leading rows. Held for the whole call,
-    the scratch goes back to the system when the call ends; scratch
-    allocated per chunk would stay resident in glibc's per-thread arenas.
+    Monte Carlo stream i (SFC64) and filled min(_TRIAL_CHUNK,
+    max(1, _BLOCK_TERMS // k)) rows at a time, so the sample depends only on
+    (seed, d, k, trials). The chunks run concurrently on up to one thread
+    per usable CPU (numpy releases the GIL inside its fills); each writes
+    only its own slice, so the CPU count never changes the sample. A thread
+    draws every block of its chunks into one scratch of three (rows, k)
+    float64 arrays and a bool mask, allocated at its first chunk; a partial
+    block uses the leading rows. Held for the whole call, the scratch goes
+    back to the system when the call ends; scratch allocated per chunk
+    would stay resident in glibc's per-thread arenas.
     d, k and trials must be integers (numpy's included); anything else is
     a ValueError.
     """
@@ -235,16 +241,17 @@ def simulate_sensitivity(d: int, k: int, trials: int, seed: Seed) -> np.ndarray:
     starts = range(0, trials, _TRIAL_CHUNK)
     # built on the calling thread, so every dpswd call stays here and the
     # workers run numpy only
-    rngs = [substream(seed, PURPOSE_SENSITIVITY, i) for i in range(len(starts))]
+    rngs = [monte_carlo_stream(seed, PURPOSE_SENSITIVITY, i) for i in range(len(starts))]
+    block = min(_TRIAL_CHUNK, max(1, _BLOCK_TERMS // k))
     per_thread = threading.local()
 
     def fill(start: int, rng: np.random.Generator) -> None:
         if not hasattr(per_thread, "scratch"):  # this worker thread's first chunk
-            per_thread.scratch = np.empty((3, _ROW_BLOCK, k)), np.empty((_ROW_BLOCK, k), dtype=bool)
+            per_thread.scratch = np.empty((3, block, k)), np.empty((block, k), dtype=bool)
         scratch, rejected = per_thread.scratch
         stop = min(start + _TRIAL_CHUNK, trials)
-        for lo in range(start, stop, _ROW_BLOCK):
-            rows = min(_ROW_BLOCK, stop - lo)  # a partial block uses the leading rows
+        for lo in range(start, stop, block):
+            rows = min(block, stop - lo)  # a partial block uses the leading rows
             # the terms alias the scratch, so they are summed before the next block
             out[lo:lo + rows] = draw_terms(rng, d, scratch[:, :rows], rejected[:rows]).sum(axis=1)
 

@@ -594,6 +594,56 @@ class TestFlowCmd:
         assert reported == pytest.approx(eps, abs=1e-3)
 
 
+class TestOutputDirectory:
+    """--out is created right after the arguments are checked, before any work."""
+
+    @pytest.mark.parametrize("argv_fn, work", [
+        (lambda d: ["flow", "--source", str(d / "src2d.csv"), "--target", str(d / "tgt2d.csv"),
+                    "--iters", "2000", "--lr", "0.1", "--k", "4"], "run_flow"),
+        (lambda d: ["sensitivity", "--d", "784", "--k", "200", "--trials", "100000"],
+         "simulate_sensitivity"),
+        (lambda d: ["toy", "--d", "3", "--n", "30", "--k", "8"], "_toy_sweep"),
+    ], ids=["flow", "sensitivity", "toy"])
+    def test_out_naming_a_file_fails_before_the_work(self, data_dir, tmp_path, monkeypatch,
+                                                     capsys, argv_fn, work):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+
+        def never_entered(*args, **kwargs):
+            raise AssertionError(f"{work} ran although --out is unusable")
+
+        monkeypatch.setattr(cli, work, never_entered)
+        assert cli.main([*argv_fn(data_dir), "--out", str(taken)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 17] File exists: {str(taken)!r}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["sensitivity", "--d", "20", "--k", "5", "--trials", "0"],
+        ["sensitivity", "--d", "0", "--k", "5"],
+        ["toy", "--k", "0"],
+        ["toy", "--sigma", "-1"],
+        ["toy", "--repeats", "0"],
+    ])
+    def test_usage_error_creates_nothing(self, tmp_path, argv):
+        out = tmp_path / "out"
+        r = run_cli(*argv, "--out", str(out))
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv_fn", [
+    lambda o: ["sensitivity", "--d", "50", "--k", "10", "--trials", "100", "--out", str(o)],
+    lambda o: ["calibrate", "--eps", "5", "--delta", "1e-5", "--dim", "100", "--k", "10",
+               "--n", "2000", "--epochs", "2", "--batch", "200", "--bound", "clt"],
+], ids=["sensitivity", "calibrate"])
+def test_warning_is_one_line(tmp_path, argv_fn):
+    r = run_cli(*argv_fn(tmp_path / "s"))
+    assert r.returncode == 0
+    assert r.stderr == "warning: clt_bound with k=10 < 30: the normal approximation is unreliable\n"
+
+
 class TestDeterminism:
     def test_version_flag(self):
         r = run_cli("--version")

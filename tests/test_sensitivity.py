@@ -7,23 +7,25 @@ import pytest
 from scipy import stats
 
 from dpswd import sensitivity as sens
-from dpswd.randomness import PURPOSE_SENSITIVITY, substream
+from dpswd.randomness import PURPOSE_SENSITIVITY, monte_carlo_stream
 
 
 def serial_reference(d: int, k: int, trials: int, seed) -> np.ndarray:
-    """The seeded sample since 0.6.0, one chunk, block and redraw round at a time.
+    """The seeded sample since 0.11.0, one chunk, block and redraw round at a time.
 
-    Chunk i of 1024 trials comes from substream i and is filled 128 rows at
-    a time; each row sums its k Beta(1/2, (d-1)/2) terms.
+    Chunk i of 1024 trials comes from Monte Carlo stream i and is filled
+    min(1024, max(1, 2**17 // k)) rows at a time; each row sums its k
+    Beta(1/2, (d-1)/2) terms.
     """
     if d == 1:
         return np.full(trials, float(k))
     out = np.empty(trials)
+    rows = min(1024, max(1, 2**17 // k))
     for chunk_index, start in enumerate(range(0, trials, 1024)):
-        rng = substream(seed, PURPOSE_SENSITIVITY, chunk_index)
+        rng = monte_carlo_stream(seed, PURPOSE_SENSITIVITY, chunk_index)
         stop = min(start + 1024, trials)
-        for lo in range(start, stop, 128):
-            hi = min(lo + 128, stop)
+        for lo in range(start, stop, rows):
+            hi = min(lo + rows, stop)
             out[lo:hi] = reference_terms(rng, hi - lo, k, d).sum(axis=1)
     return out
 
@@ -231,8 +233,10 @@ class TestSimulation:
 
 # d = 2 and 3 take the ratio branch; at d = 4 the redraw loop runs many
 # rounds and a third of the proposals have t^2 >= 1; (784, 1000, 1100) is the
-# benchmark's d and k over two chunks, the second ending in a partial block
+# benchmark's d and k over two chunks, the second ending in a partial block;
+# at k = 20 a whole chunk is one block, at k = 200 two blocks of 655 and 369
 PINNED_CASES = [(20, 16, t) for t in (1, 1023, 1024, 1025, 2500)] + [
+    (784, 20, 2100),
     (784, 200, 5000),
     (1, 5, 3),
     (2, 7, 1100),
@@ -268,21 +272,21 @@ class TestConcurrentChunks:
     def test_worker_threads_call_no_dpswd_function(self, monkeypatch):
         callers = []
 
-        def recording_substream(*args):
+        def recording_stream(*args):
             callers.append(threading.get_ident())
-            return substream(*args)
+            return monte_carlo_stream(*args)
 
-        monkeypatch.setattr(sens, "substream", recording_substream)
+        monkeypatch.setattr(sens, "monte_carlo_stream", recording_stream)
         monkeypatch.setattr(sens, "_usable_cpus", lambda: 4)
         sens.simulate_sensitivity(10, 4, 3 * 1024 + 1, seed=2)
         assert callers == [threading.get_ident()] * 4
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        def broken_substream(seed, purpose, index):
+        def broken_stream(seed, purpose, index):
             # chunk 1 gets no generator, so its worker raises AttributeError
-            return object() if index == 1 else substream(seed, purpose, index)
+            return object() if index == 1 else monte_carlo_stream(seed, purpose, index)
 
-        monkeypatch.setattr(sens, "substream", broken_substream)
+        monkeypatch.setattr(sens, "monte_carlo_stream", broken_stream)
         with pytest.raises(AttributeError):
             sens.simulate_sensitivity(10, 4, 2048, seed=2)
 
