@@ -129,9 +129,14 @@ class PrivacyBudget:
 
     def tail_bound(self, kind: str, k: int, d: int) -> SensitivityBound:
         """The probabilistic bound `kind` built at the sensitivity share."""
-        if self.delta_split == 0:
-            raise ValueError(f"a {kind} bound needs a share of delta: delta_split must be > 0")
+        check_delta_share(kind, self.delta_split)
         return TAIL_BOUNDS[kind](k, d, self.delta_sensitivity)
+
+
+def check_delta_share(kind: str, delta_split: float) -> None:
+    """Refuse a probabilistic bound `kind` that would get no share of delta."""
+    if delta_split == 0:
+        raise ValueError(f"a {kind} bound needs a share of delta: delta_split must be > 0")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .accountant import (
     InfeasibleBudgetError,
     PrivacyBudget,
     calibrate_sigma,
+    check_delta_share,
     default_orders,
     dense_orders,
 )
@@ -301,6 +302,8 @@ def cmd_flow(args) -> int:
         bound_kind=args.bound,
     )
     load = _input_loader(args)
+    if cfg.sigma > 0:  # the accounting's usage error, raised before any read
+        check_delta_share(cfg.bound_kind, cfg.delta_split)
     out = _output_dir(args.out)
     source, target = load(args.source), load(args.target)
     try:

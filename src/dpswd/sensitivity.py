@@ -10,18 +10,22 @@ histogram-versus-bounds picture used to compare them.
 
 The simulation draws each Beta term exactly, as the square x = t^2 of one
 coordinate t of a uniform unit vector, whose density is proportional to
-(1 - t^2)^c with c = (d-3)/2. For d >= 4 it proposes t ~ N(0, 1/(d-3))
-and accepts iff E >= -c (log1p(-x) + x) with E ~ Exp(1): the target over
-the proposal is exp(c (log(1 - t^2) + t^2)) <= 1, so this is rejection
+(1 - t^2)^c with c = (d-3)/2. For d >= 4 it proposes t ~ N(0, 1/(d-3)) and
+rejects x with probability q(x) = 1 - exp(c (log1p(-x) + x)): the target
+over the proposal is exp(c (log(1 - t^2) + t^2)) <= 1, so this is rejection
 sampling under a Gaussian envelope (acceptance 63% at d = 4, 99.9% at
-d = 784). For d = 2, 3 there is no such envelope (c <= 0), and a term is
-g^2 / (g^2 + Q) with g standard normal and Q chi-square with d - 1 degrees
-of freedom. Every draw comes from SFC64 Monte Carlo streams
-(randomness.monte_carlo_stream), not from the Philox streams of private
-releases: the simulated quantities are public. Trials are filled in blocks
-of about _BLOCK_TERMS terms into scratch that each worker thread allocates
-once: three float64 (rows x k) arrays and one bool mask, reused by every
-block it fills.
+d = 784). The decision thins the rare rejections (Lewis & Shedler 1979;
+Devroye 1986): at d = 784, 99.2% of the proposals are small enough that
+q(x) <= _THIN, and of those only the slots in a uniformly random
+Binomial(n, _THIN) share draw a uniform; each larger proposal draws its
+own. For d = 2, 3 there is no such envelope (c <= 0), and a term is
+g^2 / (g^2 + Q) with g standard normal and Q chi-square with d - 1
+degrees of freedom. Every draw comes
+from SFC64 Monte Carlo streams (randomness.monte_carlo_stream), not from
+the Philox streams of private releases: the simulated quantities are
+public. Trials are filled in blocks of about _BLOCK_TERMS terms into one
+float64 (rows x k) scratch array that each worker thread allocates once
+and reuses for every block it fills.
 """
 
 from __future__ import annotations
@@ -45,6 +49,11 @@ _TRIAL_CHUNK = 1024
 # overhead on tiny blocks. Also part of the sample's definition, since a
 # block's redraws come from the generator before the next block.
 _BLOCK_TERMS = 2**17
+# Thinning rate of the envelope's acceptance step: a proposal whose
+# rejection probability is at most this is examined only if its slot is
+# among a random share this large of the slots. Part of the sample's
+# definition too.
+_THIN = 1 / 64
 
 
 @dataclass(frozen=True)
@@ -144,64 +153,79 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _ratio_terms(
-    rng: np.random.Generator, d: int, scratch: np.ndarray, rejected: np.ndarray
-) -> np.ndarray:
+def _ratio_terms(rng: np.random.Generator, d: int, terms: np.ndarray) -> np.ndarray:
     """Beta(1/2, (d-1)/2) terms as g^2 / (g^2 + Q), Q ~ chi-square(d-1); any d >= 2.
 
-    Fills and returns scratch[0]; rejected is unused.
+    Fills and returns terms.
     """
-    ratio = rng.standard_normal(out=scratch[0])
+    ratio = rng.standard_normal(out=terms)
     np.square(ratio, out=ratio)
     total = rng.chisquare(d - 1, size=ratio.shape)
     total += ratio
     return np.divide(ratio, total, out=ratio)
 
 
-def _propose(
-    rng: np.random.Generator, d: int, x: np.ndarray, e: np.ndarray, threshold: np.ndarray,
-    rejected: np.ndarray,
-) -> None:
-    """Fill x with proposals t^2 and rejected with their rejection decisions.
+def _rejection_probability(x: np.ndarray, c: float) -> np.ndarray:
+    """q(x) = 1 - exp(c (log1p(-x) + x)), the envelope's rejection law; 1 for x >= 1."""
+    # x >= 1 lies outside the target's support: log1p(-min(x, 1)) = -inf gives q = 1
+    with np.errstate(divide="ignore"):
+        return -np.expm1(c * (np.log1p(-np.minimum(x, 1.0)) + x))
 
-    x, e and threshold are same-shape float64 scratch and rejected a bool one;
-    the proposals come first from the generator, then the exponentials.
+
+def _small_limit(c: float) -> float:
+    """x_small = (sqrt(t^2 + 2 c t) - t) / c, t = _THIN: the root of c x^2 / (2 (1 - x)) = t.
+
+    log1p(-x) + x >= -x^2 / (2 (1 - x)) on [0, 1), so q(x) <= c x^2 / (2 (1 - x))
+    and no proposal at or below x_small is rejected with probability above _THIN.
     """
+    return (math.sqrt(_THIN * _THIN + 2.0 * c * _THIN) - _THIN) / c
+
+
+def _rejections(rng: np.random.Generator, x: np.ndarray, c: float, x_small: float) -> np.ndarray:
+    """Ascending slots of the proposals x (1-D) that are rejected, each with probability q(x).
+
+    A proposal above x_small draws U and is rejected iff U < q(x). Below it,
+    q(x) <= _THIN, so only a uniformly random subset of Binomial(n, _THIN)
+    slots is examined, and a marked slot is rejected iff _THIN * U < q(x):
+    probability _THIN * q(x) / _THIN. Draws: the mark count, the marks
+    (rng.choice without replacement or shuffle), then one uniform per large
+    slot in slot order and one per marked small slot in mark order.
+    """
+    large = np.flatnonzero(x > x_small)
+    marks = rng.choice(x.size, rng.binomial(x.size, _THIN), replace=False, shuffle=False)
+    marks = marks[x[marks] <= x_small]
+    slots = np.concatenate((large, marks))
+    u = rng.random(slots.size)
+    u[large.size:] *= _THIN
+    return np.sort(slots[u < _rejection_probability(x[slots], c)])
+
+
+def _propose(rng: np.random.Generator, d: int, x: np.ndarray) -> np.ndarray:
+    """Fill x with proposals t^2 = g^2 / (d - 3), g standard normal; returns x."""
     rng.standard_normal(out=x)
     np.square(x, out=x)
     x /= d - 3
-    rng.standard_exponential(out=e)
-    # -c (log1p(-x) + x); x >= 1 lies outside the target's support, and there
-    # log1p(-min(x, 1)) = -inf makes the threshold +inf, so it is rejected
-    c = (d - 3) / 2
-    np.minimum(x, 1.0, out=threshold)
-    np.negative(threshold, out=threshold)
-    with np.errstate(divide="ignore"):
-        np.log1p(threshold, out=threshold)
-    threshold += x
-    threshold *= -c
-    np.less(e, threshold, out=rejected)
+    return x
 
 
-def _envelope_terms(
-    rng: np.random.Generator, d: int, scratch: np.ndarray, rejected: np.ndarray
-) -> np.ndarray:
+def _envelope_terms(rng: np.random.Generator, d: int, terms: np.ndarray) -> np.ndarray:
     """Beta(1/2, (d-1)/2) terms by Gaussian-envelope rejection; d >= 4.
 
-    Draws every proposal and exponential of the block into scratch (three
-    float64 arrays of the block's shape) and its decisions into rejected,
-    then redraws the rejected slots, in row-major order, until none is
-    left. Returns scratch[0], which holds the terms.
+    Proposes every slot of the block into terms (a C-contiguous float64
+    array), then redraws the rejected slots, in row-major order, until none
+    is left. Returns terms.
     """
-    terms = scratch[0]
-    _propose(rng, d, *scratch, rejected)
-    slots = np.flatnonzero(rejected)
+    c = (d - 3) / 2
+    x_small = _small_limit(c)
+    flat = terms.reshape(-1)
+    slots = _rejections(rng, _propose(rng, d, flat), c, x_small)
     while slots.size:
         # redraw rounds are a small share of the block and allocate their own
-        x, e, threshold = np.empty((3, slots.size))
-        again = np.empty(slots.size, dtype=bool)
-        _propose(rng, d, x, e, threshold, again)
-        terms.flat[slots[~again]] = x[~again]
+        x = _propose(rng, d, np.empty(slots.size))
+        again = _rejections(rng, x, c, x_small)
+        kept = np.ones(slots.size, dtype=bool)
+        kept[again] = False
+        flat[slots[kept]] = x[kept]
         slots = slots[again]
     return terms
 
@@ -212,21 +236,23 @@ def simulate_sensitivity(d: int, k: int, trials: int, seed: Seed) -> np.ndarray:
     By rotation invariance z is taken as the first basis vector, so each
     projection contributes the square of one coordinate of a uniform unit
     vector, a Beta(1/2, (d-1)/2) term. For d >= 4 it is drawn exactly by
-    rejection under a Gaussian envelope: t ~ N(0, 1/(d-3)) is kept iff
-    E >= -c (log1p(-t^2) + t^2), E ~ Exp(1), c = (d-3)/2, which is the
-    log of the target density (1 - t^2)^c over the proposal's. For d = 2, 3
-    a term is g^2 / (g^2 + Q), Q ~ chi-square(d-1); for d = 1 it is 1.
-    Trials are generated in chunks of _TRIAL_CHUNK, chunk i from its own
-    Monte Carlo stream i (SFC64) and filled min(_TRIAL_CHUNK,
+    rejection under a Gaussian envelope: a proposal x = t^2, t ~ N(0,
+    1/(d-3)), is rejected with probability q(x) = 1 - exp(c (log1p(-x) + x)),
+    c = (d-3)/2: one minus the target density (1 - t^2)^c over the
+    proposal's, scaled to peak at 1. The decision thins at _THIN (see _rejections), so a slot
+    draws a uniform only if its proposal is large or it is marked. For
+    d = 2, 3 a term is g^2 / (g^2 + Q), Q ~ chi-square(d-1); for d = 1 it
+    is 1. Trials are generated in chunks of _TRIAL_CHUNK, chunk i from its
+    own Monte Carlo stream i (SFC64) and filled min(_TRIAL_CHUNK,
     max(1, _BLOCK_TERMS // k)) rows at a time, so the sample depends only on
     (seed, d, k, trials). The chunks run concurrently on up to one thread
     per usable CPU (numpy releases the GIL inside its fills); each writes
     only its own slice, so the CPU count never changes the sample. A thread
-    draws every block of its chunks into one scratch of three (rows, k)
-    float64 arrays and a bool mask, allocated at its first chunk; a partial
-    block uses the leading rows. Held for the whole call, the scratch goes
-    back to the system when the call ends; scratch allocated per chunk
-    would stay resident in glibc's per-thread arenas.
+    draws every block of its chunks into one (rows, k) float64 scratch
+    array, allocated at its first chunk; a partial block uses the leading
+    rows. Held for the whole call, the scratch goes back to the system when
+    the call ends; scratch allocated per chunk would stay resident in
+    glibc's per-thread arenas.
     d, k and trials must be integers (numpy's included); anything else is
     a ValueError.
     """
@@ -247,13 +273,12 @@ def simulate_sensitivity(d: int, k: int, trials: int, seed: Seed) -> np.ndarray:
 
     def fill(start: int, rng: np.random.Generator) -> None:
         if not hasattr(per_thread, "scratch"):  # this worker thread's first chunk
-            per_thread.scratch = np.empty((3, block, k)), np.empty((block, k), dtype=bool)
-        scratch, rejected = per_thread.scratch
+            per_thread.scratch = np.empty((block, k))
         stop = min(start + _TRIAL_CHUNK, trials)
         for lo in range(start, stop, block):
             rows = min(block, stop - lo)  # a partial block uses the leading rows
-            # the terms alias the scratch, so they are summed before the next block
-            out[lo:lo + rows] = draw_terms(rng, d, scratch[:, :rows], rejected[:rows]).sum(axis=1)
+            # the terms are the scratch, so they are summed before the next block
+            out[lo:lo + rows] = draw_terms(rng, d, per_thread.scratch[:rows]).sum(axis=1)
 
     with ThreadPoolExecutor(max_workers=min(len(rngs), _usable_cpus())) as pool:
         list(pool.map(fill, starts, rngs))  # reading each result re-raises a worker's error

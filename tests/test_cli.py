@@ -632,6 +632,20 @@ class TestOutputDirectory:
         assert r.stderr.startswith("error: ")
         assert not out.exists()
 
+    def test_flow_without_delta_share_reads_nothing(self, data_dir, tmp_path, monkeypatch, capsys):
+        def never_read(*args, **kwargs):
+            raise AssertionError("load_csv ran although the arguments are unusable")
+
+        monkeypatch.setattr(cli, "load_csv", never_read)
+        out = tmp_path / "out"
+        argv = ["flow", "--source", str(data_dir / "src2d.csv"), "--target", str(data_dir / "tgt2d.csv"),
+                "--iters", "5", "--lr", "0.1", "--sigma", "1", "--normalize", "clip:8",
+                "--delta-split", "0", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: a bernstein bound needs a share of delta: delta_split must be > 0\n")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("argv_fn", [
     lambda o: ["sensitivity", "--d", "50", "--k", "10", "--trials", "100", "--out", str(o)],

@@ -11,7 +11,7 @@ from dpswd.randomness import PURPOSE_SENSITIVITY, monte_carlo_stream
 
 
 def serial_reference(d: int, k: int, trials: int, seed) -> np.ndarray:
-    """The seeded sample since 0.11.0, one chunk, block and redraw round at a time.
+    """The seeded sample since 0.12.0, one chunk, block and redraw round at a time.
 
     Chunk i of 1024 trials comes from Monte Carlo stream i and is filled
     min(1024, max(1, 2**17 // k)) rows at a time; each row sums its k
@@ -30,24 +30,41 @@ def serial_reference(d: int, k: int, trials: int, seed) -> np.ndarray:
     return out
 
 
+def rejection_probability(x: np.ndarray, c: float) -> np.ndarray:
+    """q(x) = 1 - exp(c (log1p(-x) + x)) below 1, and 1 from there on."""
+    q = np.ones_like(x)
+    inside = x < 1
+    q[inside] = -np.expm1(c * (np.log1p(-x[inside]) + x[inside]))
+    return q
+
+
 def reference_terms(rng, rows: int, k: int, d: int) -> np.ndarray:
     """One block of terms: the g^2/(g^2+Q) ratio for d <= 3, else envelope rejection.
 
-    For d >= 4, every pending slot (row-major) draws t^2 = g^2/(d-3) and then
-    E ~ Exp(1), and keeps t^2 iff t^2 < 1 and E >= -c (log1p(-t^2) + t^2).
+    For d >= 4, every pending slot (row-major) draws t^2 = g^2/(d-3), and
+    each is rejected with probability q(t^2), c = (d-3)/2, by thinning at
+    tau = 1/64: K ~ Binomial(n, tau) slots are marked (choice without
+    replacement or shuffle); a slot above x_small draws U and is rejected
+    iff U < q, then a marked slot at or below x_small draws U and is
+    rejected iff tau U < q. Unmarked small slots are kept.
     """
     if d <= 3:
         g_sq = rng.standard_normal((rows, k)) ** 2
         return g_sq / (g_sq + rng.chisquare(d - 1, size=(rows, k)))
-    c = (d - 3) / 2
+    c, tau = (d - 3) / 2, 1 / 64
+    x_small = (math.sqrt(tau**2 + 2 * c * tau) - tau) / c
     terms = np.empty(rows * k)
     pending = np.arange(rows * k)
     while pending.size:
-        x = rng.standard_normal(pending.size) ** 2 / (d - 3)
-        e = rng.standard_exponential(pending.size)
-        keep = np.zeros(pending.size, dtype=bool)
-        inside = x < 1
-        keep[inside] = e[inside] >= -c * (np.log1p(-x[inside]) + x[inside])
+        n = pending.size
+        x = rng.standard_normal(n) ** 2 / (d - 3)
+        marks = rng.choice(n, rng.binomial(n, tau), replace=False, shuffle=False)
+        keep = x <= x_small
+        big = np.flatnonzero(~keep)
+        keep[big] = rng.random(big.size) >= rejection_probability(x[big], c)
+        marked = [m for m in marks if x[m] <= x_small]
+        for m, u in zip(marked, rng.random(len(marked))):
+            keep[m] = tau * u >= rejection_probability(x[m:m + 1], c)[0]
         terms[pending[keep]] = x[keep]
         pending = pending[~keep]
     return terms.reshape(rows, k)
@@ -62,6 +79,9 @@ def ratio_oracle(d: int, k: int, trials: int, rng) -> np.ndarray:
 # fixed before the first run: a correct sampler fails each KS test with
 # probability 1e-3
 KS_P_MIN = 1e-3
+# fixed before the first run: a correct acceptance step fails each binomial
+# frequency check with probability 1e-6
+BINOMIAL_P_MIN = 1e-6
 
 
 class TestBetaMoments:
@@ -314,6 +334,48 @@ class TestExactness:
         for delta, documented_pct in ((0.1, 0.2), (0.01, 1.2)):
             excess_pct = 100 * (np.quantile(h, 1 - delta) / sens.clt_bound(k, d, delta).w - 1)
             assert abs(excess_pct - documented_pct) <= 0.05, (delta, excess_pct)
+
+
+class TestRejectionStep:
+    """The acceptance step on fixed proposals: slot i is rejected with probability q(x_i)."""
+
+    @pytest.mark.parametrize("d", [4, 784])
+    def test_rejection_frequency_matches_q(self, d):
+        # proposals on both sides of x_small, and at and beyond the support's end
+        c = (d - 3) / 2
+        x_small = sens._small_limit(c)
+        values = [f * x_small for f in (0.25, 0.9, 0.999, 1.0, 1.001, 1.5, 3.0)] + [1.0, 2.5]
+        assert 3 * x_small < 1
+        copies, rounds = 2**13, 16
+        x = np.tile(values, copies)  # interleaved, so the marks cover every value
+        rejected = np.zeros(len(values), dtype=np.int64)
+        for r in range(rounds):
+            slots = sens._rejections(monte_carlo_stream(r, PURPOSE_SENSITIVITY, d), x, c, x_small)
+            # ascending and distinct: the redraw order is row-major
+            assert np.all(np.diff(slots) > 0) and 0 <= slots[0] and slots[-1] < x.size
+            rejected += np.bincount(slots % len(values), minlength=len(values))
+        for value, q, count in zip(values, rejection_probability(np.array(values), c), rejected):
+            assert q <= sens._THIN or value > x_small
+            pvalue = stats.binomtest(int(count), copies * rounds, q).pvalue
+            assert pvalue > BINOMIAL_P_MIN, (value / x_small, count / (copies * rounds), q)
+
+    @pytest.mark.parametrize("d", [4, 784])
+    def test_small_proposals_are_each_examined_at_rate_tau(self, d):
+        # every slot at x_small, where q is closest to tau: marks drawn with
+        # replacement would examine a slot at rate 1 - exp(-tau), and reject
+        # at rate 1 - exp(-q), about q (1 - q/2)
+        c = (d - 3) / 2
+        x_small = sens._small_limit(c)
+        x = np.full(2**20, x_small)
+        rounds = 96
+        count = 0
+        for r in range(rounds):
+            hit = np.zeros(x.size, dtype=bool)
+            hit[sens._rejections(monte_carlo_stream(r, PURPOSE_SENSITIVITY, d), x, c, x_small)] = True
+            count += int(np.count_nonzero(hit))
+        q = rejection_probability(x[:1], c)[0]
+        assert q <= sens._THIN
+        assert stats.binomtest(count, x.size * rounds, q).pvalue > BINOMIAL_P_MIN
 
 
 class TestSensitivityBoundType:
