@@ -7,41 +7,31 @@ composed curve converts to an (eps, delta)-DP statement by minimizing
 eps(alpha) + ln(1/delta)/(alpha - 1) over a grid of orders, and
 calibration inverts that map by a bracketing root search on log sigma.
 
-Two amplification-by-subsampling upper bounds are implemented, both
-integer-order binomial expansions over the base curve's integer values
-eps(j) = j w / (2 sigma^2). Each is evaluated for all the integer orders
-a grid needs at once, as one masked (orders x j) array of log-domain
-terms reduced by a row-wise log-sum-exp:
+Amplification by subsampling is the upper bound for sampling a fixed-size
+batch without replacement under the replace-one neighboring relation: the
+schedule run_flow executes, and the neighboring-dataset definition used by
+the sensitivity analysis. For a base mechanism with eps(2) = e2 and
+unbounded eps(inf),
 
-* "subsample" (default): sampling a fixed-size batch without replacement
-  under the replace-one neighboring relation. This matches the
-  neighboring-dataset definition used by the sensitivity analysis and the
-  accountant family the source method relied on. For a base mechanism
-  with eps(2) = e2 and unbounded eps(inf),
+    eps_sub(alpha) <= 1/(alpha-1) * log(1 + C(alpha,2) g^2
+        min(4(e^{e2}-1), 2 e^{e2})
+        + sum_{j=3..alpha} 2 C(alpha,j) g^j e^{(j-1) eps(j)}).
 
-      eps_sub(alpha) <= 1/(alpha-1) * log(1 + C(alpha,2) g^2
-          min(4(e^{e2}-1), 2 e^{e2})
-          + sum_{j=3..alpha} 2 C(alpha,j) g^j e^{(j-1) eps(j)}).
-
-* "poisson": each record enters the batch independently with probability
-  g (add/remove relation),
-
-      eps_sub(alpha) <= 1/(alpha-1) * log( sum_{i=0..alpha}
-          C(alpha,i) (1-g)^{alpha-i} g^i e^{i(i-1) w / (2 sigma^2)} ).
-
-  The exponent i(i-1) w / (2 sigma^2) = (i-1) eps(i) is the Gaussian's,
-  so this form is valid for the Gaussian base curve only.
-
-Both are capped by the unamplified curve (subsampling never hurts), reduce
-to it exactly at g = 1, and evaluate non-integer orders at the next larger
-integer (valid since Renyi divergence is nondecreasing in the order).
+It is an integer-order binomial expansion over the base curve's integer
+values eps(j) = j w / (2 sigma^2), evaluated for all the integer orders a
+grid needs at once, as one masked (orders x j) array of log-domain terms
+reduced by a row-wise log-sum-exp. It is capped by the unamplified curve
+(subsampling never hurts), is that curve exactly at g = 1, so a budget
+with sampling_rate 1 is charged without amplification, and evaluates
+non-integer orders at the next larger integer (valid since Renyi
+divergence is nondecreasing in the order).
 
 Only eps(j) depends on sigma. The rest of each term, log C(alpha, j) +
-j log g and Poisson's (alpha - j) log(1 - g), together with the map from
-grid orders to integer orders, depends only on (order grid, g, method).
-It is built once per such key and kept, read-only, in a small cache, so
-the evaluations of one calibration reuse it and each computes only the
-sigma-dependent coefficients and the log-sum-exp.
+j log g, together with the map from grid orders to integer orders,
+depends only on (order grid, g). It is built once per such key and kept,
+read-only, in a small cache, so the evaluations of one calibration reuse
+it and each computes only the sigma-dependent coefficients and the
+log-sum-exp.
 
 Random directions and the sensitivity tail. A "bernstein" or "clt" bound
 w(k, d, p) on the squared sensitivity holds with probability >= 1 - p over
@@ -68,9 +58,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .sensitivity import TAIL_BOUNDS, SensitivityBound, _check_count
-
-AMPLIFICATION_MODES = ("subsample", "poisson", "none")
-
 
 class InfeasibleBudgetError(ValueError):
     """The (eps, delta) target cannot be met within the sigma bracket."""
@@ -186,20 +173,19 @@ def gaussian_rdp(spec: MechanismSpec, orders=None) -> RdpCurve:
 
 @dataclass(frozen=True)
 class _AmplificationTable:
-    """The sigma-independent part of both subsampling bounds, read-only."""
+    """The sigma-independent part of the subsampling bound, read-only."""
 
     alphas: np.ndarray  # distinct integer orders the grid needs, ascending
     row: np.ndarray  # grid position -> index into alphas
     j: np.ndarray  # 0..max alpha
     log_weight: np.ndarray  # (alphas x j): log C(alpha, j) + j log g; -inf for j > alpha
-    log_keep: np.ndarray | None  # "poisson" only: (alpha - j) log(1 - g)
 
 
 _EXP_ZERO = -746.0  # float64 exp underflows to exactly +0.0 below about -745.13
 
 
 @functools.lru_cache(maxsize=8)
-def _amplification_table(grid: bytes, gamma: float, method: str) -> _AmplificationTable:
+def _amplification_table(grid: bytes, gamma: float) -> _AmplificationTable:
     """Table for the float64 order grid whose bytes are `grid` (see the module docstring)."""
     o = np.frombuffer(grid, dtype=float)
     alphas, row = np.unique(np.maximum(2, np.ceil(o - 1e-12)).astype(int), return_inverse=True)
@@ -208,29 +194,20 @@ def _amplification_table(grid: bytes, gamma: float, method: str) -> _Amplificati
     a = alphas[:, None]
     inside = j <= a
     log_binom = np.where(inside, log_fact[a] - log_fact[j] - log_fact[np.maximum(a - j, 0)], -np.inf)
-    log_weight = log_binom + j * math.log(gamma)
-    log_keep = (a - j) * math.log1p(-gamma) if method == "poisson" else None
-    table = _AmplificationTable(alphas, row, j, log_weight, log_keep)
+    table = _AmplificationTable(alphas, row, j, log_binom + j * math.log(gamma))
     for arr in vars(table).values():
-        if arr is not None:
-            arr.flags.writeable = False
+        arr.flags.writeable = False
     return table
 
 
-def _amplified_integer_rdp(table: _AmplificationTable, eps_j: np.ndarray, method: str) -> np.ndarray:
-    """Bound at each of table.alphas from the base curve's values eps(0..max alpha).
-
-    The "poisson" exponent (j - 1) eps(j) holds for the Gaussian base only.
-    """
+def _amplified_integer_rdp(table: _AmplificationTable, eps_j: np.ndarray) -> np.ndarray:
+    """Bound at each of table.alphas from the base curve's values eps(0..max alpha)."""
     j = table.j
-    if method == "subsample":
-        # j = 0 is the leading 1; j = 1 has no term; j = 2 has the
-        # coefficient min(4(e^{e2}-1), 2 e^{e2}), the second once e2 >= ln 2
-        e2 = eps_j[2]
-        log_c2 = math.log(2.0) + e2 if e2 >= math.log(2.0) else math.log(4.0 * math.expm1(e2))
-        log_coef = np.concatenate([[0.0, -np.inf, log_c2], math.log(2.0) + (j[3:] - 1) * eps_j[3:]])
-    else:
-        log_coef = table.log_keep + (j - 1) * eps_j
+    # j = 0 is the leading 1; j = 1 has no term; j = 2 has the coefficient
+    # min(4(e^{e2}-1), 2 e^{e2}), the second once e2 >= ln 2
+    e2 = eps_j[2]
+    log_c2 = math.log(2.0) + e2 if e2 >= math.log(2.0) else math.log(4.0 * math.expm1(e2))
+    log_coef = np.concatenate([[0.0, -np.inf, log_c2], math.log(2.0) + (j[3:] - 1) * eps_j[3:]])
     terms = table.log_weight + log_coef
     hi = terms.max(axis=1)
     terms -= hi[:, None]
@@ -242,30 +219,25 @@ def _amplified_integer_rdp(table: _AmplificationTable, eps_j: np.ndarray, method
     return np.maximum(log_a, 0.0) / (table.alphas - 1)
 
 
-def subsampled_rdp(
-    spec: MechanismSpec, gamma: float, orders=None, method: str = "subsample"
-) -> RdpCurve:
-    """RDP curve of the subsampled mechanism at sampling rate gamma.
+def subsampled_rdp(spec: MechanismSpec, gamma: float, orders=None) -> RdpCurve:
+    """RDP curve of the mechanism on a fixed-size batch drawn at sampling rate gamma.
 
     gamma = 1 returns the unamplified curve exactly. All the integer
     orders the grid needs are evaluated at once from the cached table for
-    (grid, gamma, method) (see the module docstring); the "poisson" form
-    is valid for the Gaussian only. Fractional orders are charged the
-    bound at the next larger integer, then capped by the unamplified value
-    at the fractional order itself.
+    (grid, gamma) (see the module docstring). Fractional orders are charged
+    the bound at the next larger integer, then capped by the unamplified
+    value at the fractional order itself.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    if method not in ("subsample", "poisson"):
-        raise ValueError(f"method must be 'subsample' or 'poisson', got {method!r}")
     o = default_orders() if orders is None else np.asarray(orders, dtype=float)
     base = gaussian_rdp(spec, o)
     if gamma == 1.0:
         return base
-    table = _amplification_table(base.orders.tobytes(), gamma, method)
+    table = _amplification_table(base.orders.tobytes(), gamma)
     eps_j = table.j * (spec.sensitivity_sq / (2.0 * spec.sigma**2))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        eps_int = _amplified_integer_rdp(table, eps_j, method)
+        eps_int = _amplified_integer_rdp(table, eps_j)
     # an order whose amplified bound overflows float64 (NaN) keeps the unamplified value
     return RdpCurve(o, np.fmin(eps_int[table.row], base.eps_at_order))
 
@@ -309,26 +281,17 @@ def charged_bound(budget: PrivacyBudget, sensitivity: SensitivityBound) -> Sensi
 
 
 def account(
-    sigma: float,
-    budget: PrivacyBudget,
-    sensitivity: SensitivityBound,
-    orders=None,
-    amplification: str = "subsample",
+    sigma: float, budget: PrivacyBudget, sensitivity: SensitivityBound, orders=None
 ) -> tuple[float, float]:
     """End-to-end eps achieved by sigma under the budget's schedule.
 
     Charges the bound (charged_bound), assembles subsampled RDP at the
-    budget's sampling rate, composes over its steps, and converts at
-    delta_conversion. Returns (eps, best order).
+    budget's sampling rate (1 for no amplification), composes over its
+    steps, and converts at delta_conversion. Returns (eps, best order).
     """
-    if amplification not in AMPLIFICATION_MODES:
-        raise ValueError(f"amplification must be one of {AMPLIFICATION_MODES}, got {amplification!r}")
     sensitivity = charged_bound(budget, sensitivity)
     spec = MechanismSpec(sigma=sigma, sensitivity_sq=sensitivity.w)
-    if amplification == "none":  # no amplification is the bound at gamma = 1
-        curve = subsampled_rdp(spec, 1.0, orders)
-    else:
-        curve = subsampled_rdp(spec, budget.sampling_rate, orders, method=amplification)
+    curve = subsampled_rdp(spec, budget.sampling_rate, orders)
     return rdp_to_dp(compose(curve, budget.steps), budget.delta_conversion)
 
 
@@ -340,7 +303,6 @@ class CalibrationResult:
     eps_achieved: float
     best_order: float
     sensitivity: SensitivityBound
-    amplification: str
 
 
 _SIGMA_LO = 1e-3
@@ -349,10 +311,7 @@ _SIGMA_RTOL = 1e-12  # the search stops once the bracket has hi / lo - 1 <= this
 
 
 def calibrate_sigma(
-    budget: PrivacyBudget,
-    sensitivity: SensitivityBound,
-    orders=None,
-    amplification: str = "subsample",
+    budget: PrivacyBudget, sensitivity: SensitivityBound, orders=None
 ) -> CalibrationResult:
     """Smallest noise level in [1e-3, 1e3] meeting the budget, to 1e-12 relative.
 
@@ -381,7 +340,7 @@ def calibrate_sigma(
     target = budget.eps_target
 
     def evaluate(s: float) -> tuple[float, float]:
-        return account(s, budget, sensitivity, orders, amplification)
+        return account(s, budget, sensitivity, orders)
 
     lo, hi = _SIGMA_LO, _SIGMA_HI
     (eps_lo, order_lo), (eps_hi, order_hi) = evaluate(lo), evaluate(hi)
@@ -393,7 +352,7 @@ def calibrate_sigma(
     if eps_lo <= target:
         # the bracket floor already meets the target: clamp to it rather
         # than search below it
-        return CalibrationResult(lo, eps_lo, order_lo, charged, amplification)
+        return CalibrationResult(lo, eps_lo, order_lo, charged)
     x_lo, x_hi = math.log(lo), math.log(hi)
     f_lo, f_hi = math.log(eps_lo / target), math.log(eps_hi / target)
     min_step = 0.5 * math.log1p(_SIGMA_RTOL)
@@ -422,4 +381,4 @@ def calibrate_sigma(
             halved_width, stalled = x_hi - x_lo, 0
         else:
             stalled += 1
-    return CalibrationResult(hi, eps_hi, order_hi, charged, amplification)
+    return CalibrationResult(hi, eps_hi, order_hi, charged)

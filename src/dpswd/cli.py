@@ -4,8 +4,9 @@ Every subcommand is a reproducible experiment: identical arguments and
 seed produce identical output (the manifest's duration field is the only
 exception). JSON goes to stdout with sorted keys; bulk data goes to CSV
 files under --out. The manifest's params are the parsed arguments, except
---seed (the manifest's own seed field). The choices of --bound and
---amplification come from the library's registries.
+--seed (the manifest's own seed field). The choices of --bound come from
+the library's registry; --amplification none charges the schedule at
+sampling rate 1.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .accountant import (
-    AMPLIFICATION_MODES,
     InfeasibleBudgetError,
     PrivacyBudget,
     calibrate_sigma,
@@ -256,12 +256,12 @@ def cmd_calibrate(args) -> int:
         eps_target=args.eps,
         delta_target=args.delta,
         steps=steps,
-        sampling_rate=gamma,
+        sampling_rate=1.0 if args.amplification == "none" else gamma,
         delta_split=args.delta_split,
     )
     bound = budget.tail_bound(args.bound, args.k, args.dim)
     orders = dense_orders() if args.orders == "dense" else default_orders()
-    result = calibrate_sigma(budget, bound, orders=orders, amplification=args.amplification)
+    result = calibrate_sigma(budget, bound, orders=orders)
     _emit(
         {
             "sigma": result.sigma,
@@ -380,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, required=True)
     p.add_argument("--batch", type=int, required=True)
     p.add_argument(
-        "--amplification", choices=AMPLIFICATION_MODES, default="subsample",
-        help="subsampling bound: without-replacement (default), Poisson, or none",
+        "--amplification", choices=["subsample", "none"], default="subsample",
+        help="subsampling bound: without-replacement (default), or none (sampling rate 1)",
     )
     p.add_argument("--orders", choices=["default", "dense"], default="default")
     p.set_defaults(func=cmd_calibrate)

