@@ -113,33 +113,58 @@ class TestSubsampledRdp:
 
 def subsampled_rdp_oracle(sigma, w, gamma, orders):
     """The module docstring's integer-order bound, in the linear domain at
-    50 digits with exact binomials, capped by the base curve alpha w/(2 s^2)."""
+    50 digits with exact binomials, taken at the next integer max(2, ceil(alpha))
+    of each order alpha and capped by the base curve alpha w/(2 s^2)."""
     ctx = decimal.Context(prec=50, Emax=10**9, Emin=-(10**9))
     D = ctx.create_decimal
     g, rate = D(gamma), ctx.divide(D(w), D(2) * D(sigma) ** 2)
+    integer_orders = [max(2, math.ceil(order)) for order in orders]
     # e^{(j-1) eps(j)} = e^{j(j-1) w / (2 sigma^2)} for the Gaussian base curve
-    growth = [ctx.exp(D((j - 1) * j) * rate) for j in range(max(orders) + 1)]
+    growth = [ctx.exp(D((j - 1) * j) * rate) for j in range(max(integer_orders) + 1)]
     c2 = min(4 * (ctx.exp(2 * rate) - 1), 2 * ctx.exp(2 * rate))
-    eps = []
-    for alpha in orders:
+    amplified = {}
+    for alpha in set(integer_orders):
         total = 1 + math.comb(alpha, 2) * g**2 * c2
         for j in range(3, alpha + 1):
             total += 2 * math.comb(alpha, j) * g**j * growth[j]
-        eps.append(min(float(ctx.ln(total) / (alpha - 1)), float(alpha * rate)))
-    return eps
+        amplified[alpha] = float(ctx.ln(total) / (alpha - 1))
+    return [min(amplified[alpha], float(D(float(order)) * rate))
+            for order, alpha in zip(orders, integer_orders)]
+
+
+# applied in this order, so test ids read sigma-w-gamma
+ORACLE_POINTS = [
+    pytest.mark.parametrize("sigma", [0.5, 1.0, 2.857]),
+    pytest.mark.parametrize("w", [1.0, 17.136]),
+    pytest.mark.parametrize("gamma", [1e-4, 1 / 600, 0.01, 0.3]),
+]
+
+
+def at_oracle_points(test):
+    for mark in ORACLE_POINTS:
+        test = mark(test)
+    return test
 
 
 class TestSubsampledRdpOracle:
     orders = list(range(2, 65)) + [128]
 
-    @pytest.mark.parametrize("gamma", [1e-4, 1 / 600, 0.01, 0.3])
-    @pytest.mark.parametrize("w", [1.0, 17.136])
-    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.857])
+    @at_oracle_points
     def test_matches_decimal_evaluation(self, sigma, w, gamma):
         spec = acc.MechanismSpec(sigma=sigma, sensitivity_sq=w)
         curve = acc.subsampled_rdp(spec, gamma, orders=self.orders)
         expected = subsampled_rdp_oracle(sigma, w, gamma, self.orders)
         # float64 log-domain rounding: relative 1e-12, plus 1e-14 near zero
+        assert curve.eps_at_order == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+    @at_oracle_points
+    def test_dense_grid_matches_decimal_evaluation(self, sigma, w, gamma):
+        # fractional orders, 1.25 to 1.75 among them, are charged the bound
+        # at the next integer (at least 2) and capped at their own base value
+        grid = acc.dense_orders()
+        spec = acc.MechanismSpec(sigma=sigma, sensitivity_sq=w)
+        curve = acc.subsampled_rdp(spec, gamma, orders=grid)
+        expected = subsampled_rdp_oracle(sigma, w, gamma, grid)
         assert curve.eps_at_order == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
@@ -163,7 +188,8 @@ def full_array_rdp(sigma, w, gamma, orders):
 
 
 class TestSubsampledRdpFullArray:
-    @pytest.mark.parametrize("gamma", [100 / 60000, 256 / 162000, 0.01, 0.3])
+    @pytest.mark.parametrize("gamma", [100 / 60000, 256 / 162000, 0.01, 0.3,
+                                       1e-5, 0.05, 0.5, 0.9])
     @pytest.mark.parametrize("grid", [acc.default_orders(), acc.dense_orders()], ids=["default", "dense"])
     def test_bit_identical(self, grid, gamma):
         for sigma in np.geomspace(1e-3, 1e3, 31):

@@ -364,6 +364,30 @@ class TestCalibrateCmd:
         assert payload["amplification"] == "none"
         assert payload["gamma"] == 0.0016666666666666668
 
+    @pytest.mark.parametrize("orders", ["default", "dense"])
+    @pytest.mark.parametrize("amplification", ["subsample", "none"])
+    @pytest.mark.parametrize("bound", ["bernstein", "clt"])
+    @pytest.mark.parametrize("row", [(784, 1000, 60000, 100, 100, 1e-5),
+                                     (8192, 2000, 162000, 100, 256, 1e-6)],
+                             ids=["mnist", "celeba"])
+    def test_prints_library_calibration(self, capsys, row, bound, amplification, orders):
+        # subsample charges the budget at batch/n and none at sampling rate 1;
+        # both report gamma = batch/n
+        d, k, n, epochs, batch, delta = row
+        assert cli.main(["calibrate", "--eps", "10", "--delta", str(delta), "--dim", str(d),
+                         "--k", str(k), "--n", str(n), "--epochs", str(epochs),
+                         "--batch", str(batch), "--bound", bound,
+                         "--amplification", amplification, "--orders", orders]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        budget = dpswd.PrivacyBudget(
+            eps_target=10.0, delta_target=delta, steps=epochs * (n // batch),
+            sampling_rate=1.0 if amplification == "none" else batch / n, delta_split=0.5)
+        grid = dpswd.accountant.dense_orders() if orders == "dense" else None
+        result = dpswd.calibrate_sigma(budget, budget.tail_bound(bound, k, d), orders=grid)
+        assert (payload["sigma"], payload["eps_achieved"], payload["best_order"]) == (
+            result.sigma, result.eps_achieved, result.best_order)
+        assert (payload["amplification"], payload["gamma"]) == (amplification, batch / n)
+
     def test_poisson_amplification_is_not_a_choice(self):
         r = run_cli("calibrate", "--eps", "10", "--delta", "1e-5", "--dim", "784",
                     "--k", "1000", "--n", "60000", "--epochs", "100", "--batch", "100",
