@@ -6,7 +6,7 @@ Renyi-DP accountant with noise calibration, and a particle-flow demo that
 trains against a private target.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .accountant import (
     CalibrationResult,
@@ -16,10 +16,8 @@ from .accountant import (
     RdpCurve,
     account,
     calibrate_sigma,
-    charged_bound,
     compose,
     default_orders,
-    dense_orders,
     gaussian_rdp,
     rdp_to_dp,
     subsampled_rdp,
@@ -88,11 +86,9 @@ __all__ = [
     "bernstein_bound",
     "beta_moments",
     "calibrate_sigma",
-    "charged_bound",
     "clt_bound",
     "compose",
     "default_orders",
-    "dense_orders",
     "derive_seed",
     "dp_swd",
     "fixed_sensitivity",

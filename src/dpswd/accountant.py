@@ -4,8 +4,9 @@ The Gaussian mechanism with squared sensitivity w satisfies
 eps(alpha) = alpha * w / (2 sigma^2) at every Renyi order alpha > 1.
 Mini-batch training composes T subsampled copies of the mechanism; the
 composed curve converts to an (eps, delta)-DP statement by minimizing
-eps(alpha) + ln(1/delta)/(alpha - 1) over a grid of orders, and
-calibration inverts that map by a bracketing root search on log sigma.
+eps(alpha) + ln(1/delta)/(alpha - 1) over one grid of orders, the quarter
+steps 1.25..64 plus 128 and 256, and calibration inverts that map by a
+bracketing root search on log sigma.
 
 Amplification by subsampling is the upper bound for sampling a fixed-size
 batch without replacement under the replace-one neighboring relation: the
@@ -38,15 +39,15 @@ w(k, d, p) on the squared sensitivity holds with probability >= 1 - p over
 one draw of the k directions U; given a U on which it holds, one step is a
 Gaussian mechanism with squared sensitivity w. The budget gives the tail
 delta_s = delta_split * delta and the conversion delta_c = delta - delta_s.
-Each of the T steps draws its own U_t, so there are T tail events, and the
-schedule is charged at w(k, d, p/T), where p <= delta_s is the delta of the
-bound passed in. Each draw then exceeds its bound with probability <= p/T,
-and by the union bound all T draws are within it except with probability
-<= p <= delta_s. On that event the T steps compose in RDP and convert at
-delta_c, so the whole schedule is (eps, delta_c + delta_s)-DP. A bound
-whose p exceeds delta_s would spend more than delta and is refused. A
-"fixed" kind bound (a known constant) has no tail and is charged as given,
-and so is every T = 1 schedule.
+Each of the T steps draws its own U_t, so there are T tail events:
+PrivacyBudget.tail_bound builds the per-draw bound w(k, d, delta_s / T),
+and account charges the bound it is given at every step. When each draw
+exceeds its bound with probability <= p <= delta_s / T, the union bound
+keeps all T draws within it except with probability <= T p <= delta_s. On
+that event the T steps compose in RDP and convert at delta_c, so the whole
+schedule is (eps, delta_c + delta_s)-DP. A bound whose p exceeds
+delta_s / T could spend more than delta and is refused. A "fixed" kind
+bound (a known constant) has no tail and is charged as given.
 """
 
 from __future__ import annotations
@@ -115,9 +116,10 @@ class PrivacyBudget:
         return self.delta_split * self.delta_target
 
     def tail_bound(self, kind: str, k: int, d: int) -> SensitivityBound:
-        """The probabilistic bound `kind` built at the sensitivity share."""
+        """The probabilistic bound `kind` on one of the steps' direction draws:
+        w(k, d, delta_sensitivity / steps) (see the module docstring)."""
         check_delta_share(kind, self.delta_split)
-        return TAIL_BOUNDS[kind](k, d, self.delta_sensitivity)
+        return TAIL_BOUNDS[kind](k, d, self.delta_sensitivity / self.steps)
 
 
 def check_delta_share(kind: str, delta_split: float) -> None:
@@ -148,12 +150,7 @@ class MechanismSpec:
 
 
 def default_orders() -> np.ndarray:
-    """The documented default grid: {1.25, 1.5, 1.75, 2..64, 128, 256}."""
-    return np.concatenate([[1.25, 1.5, 1.75], np.arange(2.0, 65.0), [128.0, 256.0]])
-
-
-def dense_orders() -> np.ndarray:
-    """Quarter-step grid for calibrations that need a sharp optimum: {1.25..64, 128, 256}."""
+    """The order grid of every account: quarter steps {1.25, 1.5, ..., 64}, then 128 and 256."""
     return np.concatenate([np.arange(1.25, 64.125, 0.25), [128.0, 256.0]])
 
 
@@ -259,39 +256,24 @@ def rdp_to_dp(curve: RdpCurve, delta: float) -> tuple[float, float]:
     return float(totals[best]), float(curve.orders[best])
 
 
-def charged_bound(budget: PrivacyBudget, sensitivity: SensitivityBound) -> SensitivityBound:
-    """The per-draw bound that the budget's schedule is charged at.
-
-    Over T > 1 steps a probabilistic bound is rebuilt from its kind, k and d
-    at delta / T (see the module docstring); else the bound is returned as
-    given. Raises ValueError for a probabilistic bound whose delta exceeds
-    the budget's sensitivity share.
-    """
-    if sensitivity.kind not in TAIL_BOUNDS:
-        return sensitivity
-    if not sensitivity.delta <= budget.delta_sensitivity:
-        raise ValueError(
-            f"{sensitivity.kind} bound at delta={sensitivity.delta:g} exceeds the budget's "
-            f"sensitivity share {budget.delta_sensitivity:g} (delta_split={budget.delta_split:g})"
-        )
-    if budget.steps == 1:
-        return sensitivity
-    make = TAIL_BOUNDS[sensitivity.kind]
-    return make(sensitivity.k, sensitivity.d, sensitivity.delta / budget.steps)
-
-
-def account(
-    sigma: float, budget: PrivacyBudget, sensitivity: SensitivityBound, orders=None
-) -> tuple[float, float]:
+def account(sigma: float, budget: PrivacyBudget, sensitivity: SensitivityBound) -> tuple[float, float]:
     """End-to-end eps achieved by sigma under the budget's schedule.
 
-    Charges the bound (charged_bound), assembles subsampled RDP at the
+    Charges the given bound at every step, assembles subsampled RDP at the
     budget's sampling rate (1 for no amplification), composes over its
     steps, and converts at delta_conversion. Returns (eps, best order).
+    Raises ValueError for a probabilistic bound whose delta exceeds the
+    per-draw share delta_sensitivity / steps (see the module docstring).
     """
-    sensitivity = charged_bound(budget, sensitivity)
+    share = budget.delta_sensitivity / budget.steps
+    if sensitivity.kind in TAIL_BOUNDS and not sensitivity.delta <= share:
+        raise ValueError(
+            f"{sensitivity.kind} bound at delta={sensitivity.delta:g} exceeds the per-draw "
+            f"sensitivity share {share:g} (delta_split={budget.delta_split:g}, "
+            f"steps={budget.steps}): build it with PrivacyBudget.tail_bound"
+        )
     spec = MechanismSpec(sigma=sigma, sensitivity_sq=sensitivity.w)
-    curve = subsampled_rdp(spec, budget.sampling_rate, orders)
+    curve = subsampled_rdp(spec, budget.sampling_rate)
     return rdp_to_dp(compose(curve, budget.steps), budget.delta_conversion)
 
 
@@ -310,9 +292,7 @@ _SIGMA_HI = 1e3
 _SIGMA_RTOL = 1e-12  # the search stops once the bracket has hi / lo - 1 <= this
 
 
-def calibrate_sigma(
-    budget: PrivacyBudget, sensitivity: SensitivityBound, orders=None
-) -> CalibrationResult:
+def calibrate_sigma(budget: PrivacyBudget, sensitivity: SensitivityBound) -> CalibrationResult:
     """Smallest noise level in [1e-3, 1e3] meeting the budget, to 1e-12 relative.
 
     The achieved eps is monotone decreasing in sigma. The search keeps a
@@ -329,18 +309,17 @@ def calibrate_sigma(
     63); the sigma-independent amplification table is built by the first
     and reused by the rest. A budget that the bracket floor sigma = 1e-3
     already meets is clamped: the floor is returned, though a smaller sigma
-    may meet it too. The charged bound is computed once, up front, so a
-    bound above the budget's sensitivity share is refused before any
-    evaluation; it is reported as the result's sensitivity. Raises
+    may meet it too. The bound is charged as given and reported as the
+    result's sensitivity; one above the budget's per-draw sensitivity
+    share is refused by the first evaluation, before any search. Raises
     InfeasibleBudgetError when even the largest sigma in the bracket cannot
     reach the target, reporting eps at both ends.
     """
 
-    charged = charged_bound(budget, sensitivity)
     target = budget.eps_target
 
     def evaluate(s: float) -> tuple[float, float]:
-        return account(s, budget, sensitivity, orders)
+        return account(s, budget, sensitivity)
 
     lo, hi = _SIGMA_LO, _SIGMA_HI
     (eps_lo, order_lo), (eps_hi, order_hi) = evaluate(lo), evaluate(hi)
@@ -352,7 +331,7 @@ def calibrate_sigma(
     if eps_lo <= target:
         # the bracket floor already meets the target: clamp to it rather
         # than search below it
-        return CalibrationResult(lo, eps_lo, order_lo, charged)
+        return CalibrationResult(lo, eps_lo, order_lo, sensitivity)
     x_lo, x_hi = math.log(lo), math.log(hi)
     f_lo, f_hi = math.log(eps_lo / target), math.log(eps_hi / target)
     min_step = 0.5 * math.log1p(_SIGMA_RTOL)
@@ -381,4 +360,4 @@ def calibrate_sigma(
             halved_width, stalled = x_hi - x_lo, 0
         else:
             stalled += 1
-    return CalibrationResult(hi, eps_hi, order_hi, charged)
+    return CalibrationResult(hi, eps_hi, order_hi, sensitivity)

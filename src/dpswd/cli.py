@@ -24,14 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .accountant import (
-    InfeasibleBudgetError,
-    PrivacyBudget,
-    calibrate_sigma,
-    check_delta_share,
-    default_orders,
-    dense_orders,
-)
+from .accountant import InfeasibleBudgetError, PrivacyBudget, calibrate_sigma, check_delta_share
 from .flow import FlowConfig, FlowDiverged, run_flow
 from .measures import DataError, load_csv, normalize_for_privacy, save_csv, write_csv_rows
 from .measures import EmpiricalMeasure
@@ -259,9 +252,7 @@ def cmd_calibrate(args) -> int:
         sampling_rate=1.0 if args.amplification == "none" else gamma,
         delta_split=args.delta_split,
     )
-    bound = budget.tail_bound(args.bound, args.k, args.dim)
-    orders = dense_orders() if args.orders == "dense" else default_orders()
-    result = calibrate_sigma(budget, bound, orders=orders)
+    result = calibrate_sigma(budget, budget.tail_bound(args.bound, args.k, args.dim))
     _emit(
         {
             "sigma": result.sigma,
@@ -383,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--amplification", choices=["subsample", "none"], default="subsample",
         help="subsampling bound: without-replacement (default), or none (sampling rate 1)",
     )
-    p.add_argument("--orders", choices=["default", "dense"], default="default")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("flow", parents=[common, inputs, schedule], help="particle descent toward a private target")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accountant import PrivacyBudget, account, charged_bound
+from .accountant import PrivacyBudget, account
 from .measures import DataError, EmpiricalMeasure, check_privacy_normalized
 from .randomness import PURPOSE_DATA, Seed, derive_seed, substream
 from .sensitivity import TAIL_BOUNDS, SensitivityBound, _check_count, check_delta
@@ -85,7 +85,7 @@ class FlowTrace:
 
 
 def _privacy_report(target: EmpiricalMeasure, cfg: FlowConfig) -> tuple:
-    """(eps, delta, order, charged bound) for the full schedule, or Nones when sigma=0."""
+    """(eps, delta, order, per-draw bound charged) for the full schedule, or Nones when sigma=0."""
     if cfg.sigma <= 0:
         return None, None, None, None
     gamma = 1.0 if cfg.batch_size is None else cfg.batch_size / target.n
@@ -98,7 +98,7 @@ def _privacy_report(target: EmpiricalMeasure, cfg: FlowConfig) -> tuple:
     )
     bound = budget.tail_bound(cfg.bound_kind, cfg.k, target.dim)
     eps, order = account(cfg.sigma, budget, bound)
-    return eps, cfg.delta, order, charged_bound(budget, bound)
+    return eps, cfg.delta, order, bound
 
 
 def _step_target(target: EmpiricalMeasure, cfg: FlowConfig, step: int) -> EmpiricalMeasure:
@@ -124,7 +124,8 @@ def run_flow(
     projections, and the source's projections get the same noise level.
     When sigma > 0 the target must satisfy the privacy normalization
     precondition (all row norms <= 1/2), else DataError. So are a dimension
-    mismatch and, without batching, unequal sample counts.
+    mismatch, unequal sample counts without batching, and a batch_size that
+    is not the source particle count or exceeds the target's.
     """
     if source_init.dim != target_private.dim:
         raise DataError(f"dimension mismatch: {source_init.dim} vs {target_private.dim}")
@@ -136,9 +137,9 @@ def run_flow(
         raise ValueError("uniform weights required for particle flow")
     if cfg.batch_size is not None:
         if not 1 <= cfg.batch_size <= target_private.n:
-            raise ValueError(f"batch_size must lie in [1, {target_private.n}]")
+            raise DataError(f"batch_size must lie in [1, {target_private.n}]")
         if cfg.batch_size != source_init.n:
-            raise ValueError("batch_size must equal the source particle count")
+            raise DataError("batch_size must equal the source particle count")
     if cfg.sigma > 0:
         check_privacy_normalized(target_private)
 

@@ -70,12 +70,12 @@ class SensitivityBound:
 
     kind records which bound produced w: "bernstein" (rigorous), "clt"
     (tighter, approximate), or "fixed" for a caller-supplied constant.
+    delta is the probability that w fails over one draw of the directions
+    (nan for "fixed", which cannot fail).
     """
 
     w: float
     kind: str
-    k: int = 0
-    d: int = 0
     delta: float = float("nan")
 
     def __post_init__(self):
@@ -99,7 +99,7 @@ def bernstein_bound(k: int, d: int, delta: float) -> SensitivityBound:
     _check_bound_args(k, d, delta)
     log_term = math.log(1.0 / delta)
     w = k / d + (2.0 / 3.0) * log_term + (2.0 / d) * math.sqrt(k * (d - 1) / (d + 2) * log_term)
-    return SensitivityBound(w=w, kind="bernstein", k=k, d=d, delta=delta)
+    return SensitivityBound(w=w, kind="bernstein", delta=delta)
 
 
 def clt_bound(k: int, d: int, delta: float) -> SensitivityBound:
@@ -119,7 +119,7 @@ def clt_bound(k: int, d: int, delta: float) -> SensitivityBound:
     # z_{1-delta} = -Phi^{-1}(delta) by symmetry; 1 - delta rounds to 1.0 below about 1.1e-16
     z = -inverse_normal_cdf(delta)
     w = k / d + (z / d) * math.sqrt(2.0 * k * (d - 1) / (d + 2))
-    return SensitivityBound(w=w, kind="clt", k=k, d=d, delta=delta)
+    return SensitivityBound(w=w, kind="clt", delta=delta)
 
 
 # The probabilistic bounds by kind: each holds with probability >= 1 - delta

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dpswd import accountant as acc
-from dpswd.sensitivity import bernstein_bound, clt_bound, fixed_sensitivity
+from dpswd.sensitivity import TAIL_BOUNDS, bernstein_bound, clt_bound, fixed_sensitivity
 
 
 def one_shot_sigma_oracle(eps, delta):
@@ -159,9 +159,10 @@ class TestSubsampledRdpOracle:
 
     @at_oracle_points
     def test_dense_grid_matches_decimal_evaluation(self, sigma, w, gamma):
-        # fractional orders, 1.25 to 1.75 among them, are charged the bound
-        # at the next integer (at least 2) and capped at their own base value
-        grid = acc.dense_orders()
+        # the quarter-step grid's fractional orders, 1.25 to 1.75 among them,
+        # are charged the bound at the next integer (at least 2) and capped
+        # at their own base value
+        grid = acc.default_orders()
         spec = acc.MechanismSpec(sigma=sigma, sensitivity_sq=w)
         curve = acc.subsampled_rdp(spec, gamma, orders=grid)
         expected = subsampled_rdp_oracle(sigma, w, gamma, grid)
@@ -190,8 +191,8 @@ def full_array_rdp(sigma, w, gamma, orders):
 class TestSubsampledRdpFullArray:
     @pytest.mark.parametrize("gamma", [100 / 60000, 256 / 162000, 0.01, 0.3,
                                        1e-5, 0.05, 0.5, 0.9])
-    @pytest.mark.parametrize("grid", [acc.default_orders(), acc.dense_orders()], ids=["default", "dense"])
-    def test_bit_identical(self, grid, gamma):
+    def test_bit_identical(self, gamma):
+        grid = acc.default_orders()
         for sigma in np.geomspace(1e-3, 1e3, 31):
             for w in (0.3, 17.136):
                 spec = acc.MechanismSpec(sigma=float(sigma), sensitivity_sq=w)
@@ -228,7 +229,7 @@ class TestRdpToDp:
     def test_dense_grid_matches_continuous_optimum(self):
         sigma = 0.56789
         spec = acc.MechanismSpec(sigma=sigma, sensitivity_sq=1.0)
-        curve = acc.gaussian_rdp(spec, orders=acc.dense_orders())
+        curve = acc.gaussian_rdp(spec)
         eps, _ = acc.rdp_to_dp(curve, 1e-5)
         assert eps == pytest.approx(10.0, abs=0.05)
 
@@ -258,7 +259,7 @@ class TestCalibration:
         budget = acc.PrivacyBudget(
             eps_target=10.0, delta_target=1e-5, steps=1, sampling_rate=1.0, delta_split=0.0
         )
-        result = acc.calibrate_sigma(budget, fixed_sensitivity(1.0), orders=acc.dense_orders())
+        result = acc.calibrate_sigma(budget, fixed_sensitivity(1.0))
         oracle = one_shot_sigma_oracle(10.0, 1e-5)
         assert oracle == pytest.approx(0.5679, abs=1e-4)
         assert result.sigma == pytest.approx(oracle, abs=1e-3)
@@ -267,7 +268,7 @@ class TestCalibration:
         budget = acc.PrivacyBudget(
             eps_target=3.0, delta_target=1e-6, steps=500, sampling_rate=0.02, delta_split=0.5
         )
-        bound = bernstein_bound(100, 50, budget.delta_sensitivity)
+        bound = budget.tail_bound("bernstein", 100, 50)
         result = acc.calibrate_sigma(budget, bound)
         eps, _ = acc.account(result.sigma, budget, bound)
         assert eps == result.eps_achieved
@@ -363,14 +364,15 @@ class TestCalibration:
         assert orders[-1] == 256.0
         assert np.all(np.diff(orders) > 0)
         assert set(range(2, 65)) <= {int(o) for o in orders if o == int(o)}
+        assert np.array_equal(orders[:-2], 1.0 + 0.25 * np.arange(1, 253))  # quarter steps to 64
 
 
 # The four reference schedules (criterion 7's rows): d, k, n, epochs, batch, delta, bound.
 REFERENCE_ROWS = {
-    "mnist-bernstein": (784, 1000, 60000, 100, 100, 1e-5, bernstein_bound),
-    "mnist-clt": (784, 1000, 60000, 100, 100, 1e-5, clt_bound),
-    "celeba-bernstein": (8192, 2000, 162000, 100, 256, 1e-6, bernstein_bound),
-    "celeba-clt": (8192, 2000, 162000, 100, 256, 1e-6, clt_bound),
+    "mnist-bernstein": (784, 1000, 60000, 100, 100, 1e-5, "bernstein"),
+    "mnist-clt": (784, 1000, 60000, 100, 100, 1e-5, "clt"),
+    "celeba-bernstein": (8192, 2000, 162000, 100, 256, 1e-6, "bernstein"),
+    "celeba-clt": (8192, 2000, 162000, 100, 256, 1e-6, "clt"),
 }
 
 # calibrate_sigma at eps = 10, delta_split = 0.5, fresh directions, as
@@ -378,40 +380,30 @@ REFERENCE_ROWS = {
 # at most 5e-13 relative above bisection's); "none" is sampling rate 1.
 # The clt rows use the upper quantile z = -Phi^{-1}(delta), which moved
 # them by at most 1.3e-8 relative from Phi^{-1}(1 - delta). Every later
-# build must give these bits.
-CALIBRATION_PINS = [
-    ("mnist-bernstein", "subsample", "default", 2.8571773283845494, 9.999999999998991, 4.0),
-    ("mnist-bernstein", "subsample", "dense", 2.8571773283845494, 9.999999999998991, 4.0),
-    ("mnist-bernstein", "none", "default", 588.7946772284032, 10.0, 4.0),
-    ("mnist-bernstein", "none", "dense", 588.7509597948549, 9.99999999999999, 3.75),
-    ("mnist-clt", "subsample", "default", 0.88371975356144, 9.999999999998991, 4.0),
-    ("mnist-clt", "subsample", "dense", 0.88371975356144, 9.999999999998991, 4.0),
-    ("mnist-clt", "none", "default", 182.11312328758004, 9.999999999999392, 4.0),
-    ("mnist-clt", "none", "dense", 182.09960156493966, 9.999999999994442, 3.75),
-    ("celeba-bernstein", "subsample", "default", 2.9211906710406748, 9.999999999990292, 4.0),
-    ("celeba-bernstein", "subsample", "dense", 2.9211906710406748, 9.999999999990292, 4.0),
-    ("celeba-bernstein", "none", "default", 651.5211503501943, 9.999999999999662, 4.0),
-    ("celeba-bernstein", "none", "dense", 648.6146939949234, 9.999999999994468, 4.25),
-    ("celeba-clt", "subsample", "default", 0.3817595485908862, 9.999999999999645, 4.0),
-    ("celeba-clt", "subsample", "dense", 0.3817595485908862, 9.999999999999645, 4.0),
-    ("celeba-clt", "none", "default", 85.1448769575158, 9.999999999999998, 4.0),
-    ("celeba-clt", "none", "dense", 84.76504298183555, 9.999999999999911, 4.25),
-]
+# build must give these bits: (row, amplification) -> (sigma, eps, order).
+CALIBRATION_PINS = {
+    ("mnist-bernstein", "subsample"): (2.8571773283845494, 9.999999999998991, 4.0),
+    ("mnist-bernstein", "none"): (588.7509597948549, 9.99999999999999, 3.75),
+    ("mnist-clt", "subsample"): (0.88371975356144, 9.999999999998991, 4.0),
+    ("mnist-clt", "none"): (182.09960156493966, 9.999999999994442, 3.75),
+    ("celeba-bernstein", "subsample"): (2.9211906710406748, 9.999999999990292, 4.0),
+    ("celeba-bernstein", "none"): (648.6146939949234, 9.999999999994468, 4.25),
+    ("celeba-clt", "subsample"): (0.3817595485908862, 9.999999999999645, 4.0),
+    ("celeba-clt", "none"): (84.76504298183555, 9.999999999999911, 4.25),
+}
 
 
-def reference_schedule(name, amplification="subsample", orders="default"):
-    """(budget, bound, orders) of a reference row at eps = 10; "none" is sampling rate 1."""
-    d, k, n, epochs, batch, delta, make = REFERENCE_ROWS[name]
+def reference_schedule(name, amplification="subsample"):
+    """(budget, per-draw bound) of a reference row at eps = 10; "none" is sampling rate 1."""
+    d, k, n, epochs, batch, delta, kind = REFERENCE_ROWS[name]
     gamma = 1.0 if amplification == "none" else batch / n
     budget = acc.PrivacyBudget(eps_target=10.0, delta_target=delta, steps=epochs * (n // batch),
                                sampling_rate=gamma, delta_split=0.5)
-    grid = acc.dense_orders() if orders == "dense" else acc.default_orders()
-    return budget, make(k, d, budget.delta_sensitivity), grid
+    return budget, budget.tail_bound(kind, k, d)
 
 
 def reference_calibration(*case):
-    budget, bound, grid = reference_schedule(*case)
-    return acc.calibrate_sigma(budget, bound, orders=grid)
+    return acc.calibrate_sigma(*reference_schedule(*case))
 
 
 def counted_account(monkeypatch) -> list:
@@ -434,33 +426,33 @@ LOG_SPACE_TARGET = 10.196051483768937
 
 
 class TestCalibrationSweep:
-    @pytest.mark.parametrize("orders", ["default", "dense"])
     @pytest.mark.parametrize("amplification", ["subsample", "none"])
     @pytest.mark.parametrize("name", list(REFERENCE_ROWS))
-    def test_minimal_sigma_meets_target(self, monkeypatch, name, amplification, orders):
+    def test_minimal_sigma_meets_target(self, monkeypatch, name, amplification):
         account = acc.account
         evaluations = counted_account(monkeypatch)
-        ten, bound, grid = reference_schedule(name, amplification, orders)
+        ten, bound = reference_schedule(name, amplification)
         targets = SWEEP_TARGETS + ((LOG_SPACE_TARGET,) if name == "mnist-clt" else ())
         for target in targets:
             budget = dataclasses.replace(ten, eps_target=target)
             evaluations.clear()
-            result = acc.calibrate_sigma(budget, bound, orders=grid)
-            assert len(evaluations) <= 63  # bisection's count
-            assert account(result.sigma, budget, bound, grid) == (
-                result.eps_achieved, result.best_order)
+            result = acc.calibrate_sigma(budget, bound)
+            # the documented 10 to 21; at least the bracket's two ends, so the
+            # search evaluates through the module-level account
+            assert 2 <= len(evaluations) <= 21
+            assert account(result.sigma, budget, bound) == (result.eps_achieved, result.best_order)
             assert result.eps_achieved <= target
             if result.sigma != 1e-3:  # the clamp floor need not be minimal
-                eps_below, _ = account(result.sigma * (1 - 1e-10), budget, bound, grid)
+                eps_below, _ = account(result.sigma * (1 - 1e-10), budget, bound)
                 assert eps_below > target
 
 
 class TestCalibrationPins:
-    @pytest.mark.parametrize("name, amplification, orders, sigma, eps, order", CALIBRATION_PINS)
-    def test_bit_identical(self, name, amplification, orders, sigma, eps, order):
+    @pytest.mark.parametrize("case", list(CALIBRATION_PINS), ids="-".join)
+    def test_bit_identical(self, case):
         acc._amplification_table.cache_clear()
-        result = reference_calibration(name, amplification, orders)
-        assert (result.sigma, result.eps_achieved, result.best_order) == (sigma, eps, order)
+        result = reference_calibration(*case)
+        assert (result.sigma, result.eps_achieved, result.best_order) == CALIBRATION_PINS[case]
 
     def test_table_built_once_per_calibration(self, monkeypatch):
         evaluations = counted_account(monkeypatch)
@@ -489,14 +481,13 @@ class TestAmplificationTableCache:
         assert (acc.subsampled_rdp(spec, 0.01).eps_at_order > 0).all()
 
     def test_interleaved_schedules_match_each_alone(self):
-        # different gamma and grid, evaluated in turn at each sigma, so every
+        # different gamma, evaluated in turn at each sigma, so every
         # evaluation switches tables
-        cases = [("mnist-clt", "subsample", "default"), ("celeba-bernstein", "subsample", "dense")]
+        cases = [("mnist-clt", "subsample"), ("celeba-bernstein", "subsample")]
         sigmas = np.geomspace(1e-3, 1e3, 25)
 
         def evaluate(case, sigma):
-            budget, bound, grid = reference_schedule(*case)
-            return acc.account(sigma, budget, bound, grid)
+            return acc.account(sigma, *reference_schedule(*case))
 
         alone = {}
         for case in cases:
@@ -534,14 +525,14 @@ class TestDirectionPolicy:
     def test_fresh_is_fixed_at_union_bound_share(self, make):
         # T fresh draws are charged as T steps at the one per-draw bound that
         # fails w.p. delta_s / T
-        bound = make(100, 50, self.budget.delta_sensitivity)
         per_draw = make(100, 50, self.budget.delta_sensitivity / self.budget.steps)
+        bound = self.budget.tail_bound(per_draw.kind, 100, 50)
+        assert bound == per_draw
         spec = acc.MechanismSpec(sigma=1.5, sensitivity_sq=per_draw.w)
         curve = acc.compose(acc.subsampled_rdp(spec, 0.02), 500)
         assert acc.account(1.5, self.budget, bound) == acc.rdp_to_dp(curve, self.budget.delta_conversion)
-        assert acc.charged_bound(self.budget, bound).w == per_draw.w
         result = acc.calibrate_sigma(self.budget, bound)
-        assert result.sensitivity.w == per_draw.w
+        assert result.sensitivity is bound
         assert result.eps_achieved == acc.account(result.sigma, self.budget, bound)[0]
 
     def test_known_sensitivity_charged_at_its_own_bound(self):
@@ -554,14 +545,38 @@ class TestDirectionPolicy:
         assert result.sensitivity is bound
 
     def test_single_step_unchanged(self):
+        # one draw: the whole tail share goes to it
         budget = acc.PrivacyBudget(eps_target=3.0, delta_target=1e-6, delta_split=0.5)
         bound = bernstein_bound(100, 50, budget.delta_sensitivity)
-        assert acc.charged_bound(budget, bound) is bound
+        assert budget.tail_bound("bernstein", 100, 50) == bound
+        assert acc.calibrate_sigma(budget, bound).sensitivity is bound
 
-    def test_fixed_sensitivity_has_no_tail(self):
-        budget = acc.PrivacyBudget(eps_target=3.0, delta_target=1e-6, steps=500, delta_split=0.0)
+    @pytest.mark.parametrize("steps", [1, 500])
+    def test_fixed_sensitivity_has_no_tail(self, steps):
+        # accepted at any T, with no share of delta, and charged as given
+        budget = acc.PrivacyBudget(eps_target=3.0, delta_target=1e-6, steps=steps, delta_split=0.0)
         bound = fixed_sensitivity(1.0)
-        assert acc.charged_bound(budget, bound) is bound
+        spec = acc.MechanismSpec(sigma=1.5, sensitivity_sq=1.0)
+        curve = acc.compose(acc.subsampled_rdp(spec, 1.0), steps)
+        assert acc.account(1.5, budget, bound) == acc.rdp_to_dp(curve, budget.delta_conversion)
+        assert acc.calibrate_sigma(budget, bound).sensitivity is bound
+
+    @pytest.mark.parametrize("make", [bernstein_bound, clt_bound])
+    def test_bound_at_whole_tail_share_is_refused_over_many_steps(self, make):
+        # built at delta_s, a bound covers one draw, not the T = 500 the schedule makes
+        bound = make(100, 50, self.budget.delta_sensitivity)
+        with pytest.raises(ValueError, match=r"build it with PrivacyBudget\.tail_bound"):
+            acc.account(1.5, self.budget, bound)
+        with pytest.raises(ValueError, match=r"build it with PrivacyBudget\.tail_bound"):
+            acc.calibrate_sigma(self.budget, bound)
+
+    @pytest.mark.parametrize("make", [bernstein_bound, clt_bound])
+    def test_bound_below_per_draw_share_is_charged_as_given(self, make):
+        # T delta <= delta_s: a smaller per-draw delta is sound, and is not rebuilt
+        bound = make(100, 50, self.budget.delta_sensitivity / self.budget.steps / 4)
+        spec = acc.MechanismSpec(sigma=1.5, sensitivity_sq=bound.w)
+        curve = acc.compose(acc.subsampled_rdp(spec, 0.02), 500)
+        assert acc.account(1.5, self.budget, bound) == acc.rdp_to_dp(curve, self.budget.delta_conversion)
 
     @pytest.mark.parametrize("split", [0.0, 0.25])
     def test_bound_above_tail_share_is_refused(self, split):
@@ -587,6 +602,15 @@ class TestBudgetType:
         no_share = acc.PrivacyBudget(eps_target=1.0, delta_target=1e-4, delta_split=0.0)
         with pytest.raises(ValueError, match="delta_split must be > 0"):
             no_share.tail_bound("bernstein", 100, 50)
+
+    @pytest.mark.parametrize("steps", [1, 3, 60000])
+    @pytest.mark.parametrize("kind", list(TAIL_BOUNDS))
+    def test_tail_bound_is_per_draw_share(self, kind, steps):
+        b = acc.PrivacyBudget(eps_target=1.0, delta_target=1e-5, steps=steps, delta_split=0.5)
+        bound = b.tail_bound(kind, 1000, 784)
+        expected = TAIL_BOUNDS[kind](1000, 784, b.delta_sensitivity / steps)
+        assert bound == expected
+        assert (bound.w.hex(), bound.delta.hex()) == (expected.w.hex(), expected.delta.hex())
 
     def test_validation(self):
         with pytest.raises(ValueError):

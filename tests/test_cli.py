@@ -360,33 +360,49 @@ class TestCalibrateCmd:
         payload = json.loads(r.stdout)
         validate(payload, "calibrate.schema.json")
         assert (payload["sigma"], payload["eps_achieved"], payload["best_order"]) == (
-            182.11312328758004, 9.999999999999392, 4.0)
+            182.09960156493966, 9.999999999994442, 3.75)
         assert payload["amplification"] == "none"
         assert payload["gamma"] == 0.0016666666666666668
 
-    @pytest.mark.parametrize("orders", ["default", "dense"])
     @pytest.mark.parametrize("amplification", ["subsample", "none"])
     @pytest.mark.parametrize("bound", ["bernstein", "clt"])
     @pytest.mark.parametrize("row", [(784, 1000, 60000, 100, 100, 1e-5),
                                      (8192, 2000, 162000, 100, 256, 1e-6)],
                              ids=["mnist", "celeba"])
-    def test_prints_library_calibration(self, capsys, row, bound, amplification, orders):
+    def test_prints_library_calibration(self, capsys, row, bound, amplification):
         # subsample charges the budget at batch/n and none at sampling rate 1;
         # both report gamma = batch/n
         d, k, n, epochs, batch, delta = row
         assert cli.main(["calibrate", "--eps", "10", "--delta", str(delta), "--dim", str(d),
                          "--k", str(k), "--n", str(n), "--epochs", str(epochs),
                          "--batch", str(batch), "--bound", bound,
-                         "--amplification", amplification, "--orders", orders]) == 0
+                         "--amplification", amplification]) == 0
         payload = json.loads(capsys.readouterr().out)
         budget = dpswd.PrivacyBudget(
             eps_target=10.0, delta_target=delta, steps=epochs * (n // batch),
             sampling_rate=1.0 if amplification == "none" else batch / n, delta_split=0.5)
-        grid = dpswd.accountant.dense_orders() if orders == "dense" else None
-        result = dpswd.calibrate_sigma(budget, budget.tail_bound(bound, k, d), orders=grid)
+        result = dpswd.calibrate_sigma(budget, budget.tail_bound(bound, k, d))
         assert (payload["sigma"], payload["eps_achieved"], payload["best_order"]) == (
             result.sigma, result.eps_achieved, result.best_order)
         assert (payload["amplification"], payload["gamma"]) == (amplification, batch / n)
+
+    def test_orders_is_not_an_option(self):
+        # every account runs on the one quarter-step order grid
+        r = run_cli("calibrate", "--eps", "10", "--delta", "1e-5", "--dim", "784",
+                    "--k", "1000", "--n", "60000", "--epochs", "100", "--batch", "100",
+                    "--orders", "dense", "--seed", "0")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "unrecognized arguments: --orders dense" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_manifest_params_have_no_orders(self):
+        r = run_cli("calibrate", "--eps", "5", "--delta", "1e-5", "--dim", "100",
+                    "--k", "64", "--n", "2000", "--epochs", "2", "--batch", "200", "--seed", "11")
+        assert r.returncode == 0, r.stderr
+        params = json.loads(r.stdout)["manifest"]["params"]
+        assert "orders" not in params
+        assert params["amplification"] == "subsample"
 
     def test_poisson_amplification_is_not_a_choice(self):
         r = run_cli("calibrate", "--eps", "10", "--delta", "1e-5", "--dim", "784",
@@ -521,6 +537,22 @@ class TestFlowCmd:
         assert payload["eps"] > 0
         assert payload["delta"] == 1e-5
         assert payload["sensitivity_w"] > 0
+
+    @pytest.mark.parametrize("batch, message", [
+        ("50", "batch_size must lie in [1, 40]"),
+        ("20", "batch_size must equal the source particle count"),
+    ], ids=["above-target-rows", "not-source-count"])
+    def test_batch_that_does_not_fit_the_inputs_is_data_error(self, tmp_path, batch, message):
+        # the check needs both row counts, so it is made after the read
+        rng = np.random.default_rng(2)
+        np.savetxt(tmp_path / "s30.csv", rng.standard_normal((30, 2)), delimiter=",")
+        np.savetxt(tmp_path / "t40.csv", rng.standard_normal((40, 2)), delimiter=",")
+        r = run_cli("flow", "--source", str(tmp_path / "s30.csv"),
+                    "--target", str(tmp_path / "t40.csv"), "--batch", batch,
+                    "--iters", "2", "--lr", "0.1", "--out", str(tmp_path / "o"))
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr == f"error: {message}\n"
 
     def test_unequal_counts_without_batch_is_data_error(self, data_dir, tmp_path):
         (tmp_path / "three.csv").write_text("0,0\n1,1\n2,2\n")

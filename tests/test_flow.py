@@ -91,6 +91,15 @@ class TestRunFlow:
         with pytest.raises(ValueError, match="uniform"):
             run_flow(weighted, cloud(10, 2, 1), cfg)
 
+    @pytest.mark.parametrize("batch, message", [
+        (50, r"batch_size must lie in \[1, 40\]"),
+        (20, "batch_size must equal the source particle count"),
+    ], ids=["above-target-rows", "not-source-count"])
+    def test_batch_that_does_not_fit_the_inputs_is_data_error(self, batch, message):
+        cfg = FlowConfig(iterations=1, learning_rate=0.1, k=4, batch_size=batch)
+        with pytest.raises(DataError, match=message):  # a ValueError too
+            run_flow(cloud(30, 2, 0), cloud(40, 2, 1), cfg)
+
     @pytest.mark.parametrize("field", ["iterations", "log_every", "batch_size"])
     def test_non_integer_count_rejected(self, field):
         kwargs = {"iterations": 5, "learning_rate": 0.1, field: 2.5}
@@ -146,11 +155,11 @@ class TestRunFlow:
         budget = PrivacyBudget(
             eps_target=1.0, delta_target=1e-4, steps=25, sampling_rate=1.0, delta_split=0.5
         )
-        bound = bernstein_bound(16, 3, budget.delta_sensitivity)
+        bound = budget.tail_bound("bernstein", 16, 3)
         eps, order = account(1.5, budget, bound)
         assert trace.eps == eps
         assert trace.best_order == order
-        assert trace.sensitivity.w == bernstein_bound(16, 3, budget.delta_sensitivity / 25).w
+        assert trace.sensitivity == bound == bernstein_bound(16, 3, budget.delta_sensitivity / 25)
 
     def test_minibatch_target(self):
         src = normalize_for_privacy(cloud(16, 2, 21, shift=1.0))
@@ -163,7 +172,7 @@ class TestRunFlow:
             eps_target=1.0, delta_target=cfg.delta, steps=10,
             sampling_rate=16 / 64, delta_split=0.5,
         )
-        bound = bernstein_bound(8, 2, budget.delta_sensitivity)
+        bound = budget.tail_bound("bernstein", 8, 2)
         eps, _ = account(1.0, budget, bound)
         assert trace.eps == pytest.approx(eps, abs=0)
 
