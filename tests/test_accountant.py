@@ -188,11 +188,16 @@ def full_array_rdp(sigma, w, gamma, orders):
     return np.minimum((np.maximum(log_a, 0.0) / (alphas - 1))[row], o * w / (2.0 * sigma**2))
 
 
+# the default grid before it became the quarter-step grid, a strict subset of it;
+# subsampled_rdp still takes chosen orders, and caches a table per (grid, gamma)
+SUBSET_ORDERS = np.concatenate([[1.25, 1.5, 1.75], np.arange(2.0, 65.0), [128.0, 256.0]])
+
+
 class TestSubsampledRdpFullArray:
     @pytest.mark.parametrize("gamma", [100 / 60000, 256 / 162000, 0.01, 0.3,
                                        1e-5, 0.05, 0.5, 0.9])
-    def test_bit_identical(self, gamma):
-        grid = acc.default_orders()
+    @pytest.mark.parametrize("grid", [acc.default_orders(), SUBSET_ORDERS], ids=["quarter", "subset"])
+    def test_bit_identical(self, grid, gamma):
         for sigma in np.geomspace(1e-3, 1e3, 31):
             for w in (0.3, 17.136):
                 spec = acc.MechanismSpec(sigma=float(sigma), sensitivity_sq=w)
@@ -454,6 +459,22 @@ class TestCalibrationPins:
         result = reference_calibration(*case)
         assert (result.sigma, result.eps_achieved, result.best_order) == CALIBRATION_PINS[case]
 
+    @pytest.mark.parametrize("case", list(CALIBRATION_PINS), ids="-".join)
+    def test_subset_grid_charges_no_less(self, case):
+        # the pinned optimum on the quarter-step grid against the same schedule
+        # on its subset: an integer optimum is reached on both, a fractional
+        # one (the "none" rows) only on the quarter-step grid
+        budget, bound = reference_schedule(*case)
+        sigma, eps, order = CALIBRATION_PINS[case]
+        assert acc.account(sigma, budget, bound) == (eps, order)
+        spec = acc.MechanismSpec(sigma=sigma, sensitivity_sq=bound.w)
+        curve = acc.compose(acc.subsampled_rdp(spec, budget.sampling_rate, SUBSET_ORDERS), budget.steps)
+        eps_subset, order_subset = acc.rdp_to_dp(curve, budget.delta_conversion)
+        if order == int(order):
+            assert (eps_subset, order_subset) == (eps, order)
+        else:
+            assert eps_subset > eps
+
     def test_table_built_once_per_calibration(self, monkeypatch):
         evaluations = counted_account(monkeypatch)
         acc._amplification_table.cache_clear()
@@ -561,14 +582,16 @@ class TestDirectionPolicy:
         assert acc.account(1.5, budget, bound) == acc.rdp_to_dp(curve, budget.delta_conversion)
         assert acc.calibrate_sigma(budget, bound).sensitivity is bound
 
+    @pytest.mark.parametrize("steps", [2, 500])
     @pytest.mark.parametrize("make", [bernstein_bound, clt_bound])
-    def test_bound_at_whole_tail_share_is_refused_over_many_steps(self, make):
-        # built at delta_s, a bound covers one draw, not the T = 500 the schedule makes
-        bound = make(100, 50, self.budget.delta_sensitivity)
+    def test_bound_at_whole_tail_share_is_refused_over_many_steps(self, make, steps):
+        # built at delta_s, a bound covers one draw, not the T the schedule makes
+        budget = dataclasses.replace(self.budget, steps=steps)
+        bound = make(100, 50, budget.delta_sensitivity)
         with pytest.raises(ValueError, match=r"build it with PrivacyBudget\.tail_bound"):
-            acc.account(1.5, self.budget, bound)
+            acc.account(1.5, budget, bound)
         with pytest.raises(ValueError, match=r"build it with PrivacyBudget\.tail_bound"):
-            acc.calibrate_sigma(self.budget, bound)
+            acc.calibrate_sigma(budget, bound)
 
     @pytest.mark.parametrize("make", [bernstein_bound, clt_bound])
     def test_bound_below_per_draw_share_is_charged_as_given(self, make):
