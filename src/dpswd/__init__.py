@@ -6,7 +6,7 @@ Renyi-DP accountant with noise calibration, and a particle-flow demo that
 trains against a private target.
 """
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .accountant import (
     CalibrationResult,
@@ -57,9 +57,7 @@ from .sliced_distance import (
     value_and_gradient,
 )
 from .wasserstein1d import (
-    SortedProfile,
     per_row_costs,
-    sorted_profile,
     wasserstein_1d,
     wasserstein_1d_q,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "RdpCurve",
     "Seed",
     "SensitivityBound",
-    "SortedProfile",
     "SwdConfig",
     "SwdResult",
     "account",
@@ -105,7 +102,6 @@ __all__ = [
     "save_csv",
     "simulate_sensitivity",
     "smoothed_swd",
-    "sorted_profile",
     "subsampled_rdp",
     "substream",
     "swd",

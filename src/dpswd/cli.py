@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .accountant import InfeasibleBudgetError, PrivacyBudget, calibrate_sigma, check_delta_share
+from .accountant import InfeasibleBudgetError, PrivacyBudget, calibrate_sigma
 from .flow import FlowConfig, FlowDiverged, run_flow
 from .measures import DataError, load_csv, normalize_for_privacy, save_csv, write_csv_rows
 from .measures import EmpiricalMeasure
@@ -293,8 +293,6 @@ def cmd_flow(args) -> int:
         bound_kind=args.bound,
     )
     load = _input_loader(args)
-    if cfg.sigma > 0:  # the accounting's usage error, raised before any read
-        check_delta_share(cfg.bound_kind, cfg.delta_split)
     out = _output_dir(args.out)
     source, target = load(args.source), load(args.target)
     try:

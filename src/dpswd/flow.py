@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accountant import PrivacyBudget, account
+from .accountant import PrivacyBudget, account, check_delta_share
 from .measures import DataError, EmpiricalMeasure, check_privacy_normalized
 from .randomness import PURPOSE_DATA, Seed, derive_seed, substream
 from .sensitivity import TAIL_BOUNDS, SensitivityBound, _check_count, check_delta
@@ -64,6 +64,8 @@ class FlowConfig:
             raise ValueError(f"delta_split must lie in [0, 1), got {self.delta_split}")
         if self.bound_kind not in TAIL_BOUNDS:
             raise ValueError(f"bound_kind must be one of {tuple(TAIL_BOUNDS)}, got {self.bound_kind!r}")
+        if self.sigma > 0:
+            check_delta_share(self.bound_kind, self.delta_split)
 
 
 @dataclass(frozen=True)

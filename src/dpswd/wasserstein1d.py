@@ -7,67 +7,19 @@ the two cumulative-weight ladders, computed here exactly (no quantile grid,
 no tolerance knob). One vectorized kernel, per_row_costs, evaluates that sum
 for every row pair of two row-sorted (k, n) and (k, m) arrays at once, as
 the sliced estimator needs for its k projections; wasserstein_1d_q is its
-one-row case. Functions return the q-th power W_q^q; callers that report
-distances take the root at the boundary.
+one-row case, on two 1-D arrays or one-column EmpiricalMeasures, each
+sorted into one row; there is no separate sorted-measure type. Functions
+return the q-th power W_q^q; callers that report distances take the root
+at the boundary.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import EmpiricalMeasure
-
-
-@dataclass(frozen=True)
-class SortedProfile:
-    """Inverse-CDF representation: ascending values with cumulative weights."""
-
-    values: np.ndarray
-    cumweights: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        c = np.asarray(self.cumweights, dtype=float)
-        if v.ndim != 1 or v.shape != c.shape or v.size == 0:
-            raise ValueError("values and cumweights must be equal-length 1-D arrays")
-        if np.any(np.diff(v) < 0):
-            raise ValueError("values must be ascending")
-        if np.any(np.diff(c) <= 0) or c[0] <= 0 or abs(c[-1] - 1.0) > 1e-9:
-            raise ValueError("cumweights must be strictly increasing to 1")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "cumweights", c)
-
-
-def sorted_profile(values, weights=None) -> SortedProfile:
-    """Sort a weighted 1-D sample into a SortedProfile, dropping zero weights."""
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size == 0:
-        raise ValueError("empty measure")
-    if weights is None:
-        w = np.full(v.size, 1.0 / v.size)
-    else:
-        w = np.asarray(weights, dtype=float).ravel()
-        w = w / w.sum()
-    order = np.argsort(v, kind="stable")
-    v, w = v[order], w[order]
-    keep = w > 0
-    v, w = v[keep], w[keep]
-    c = np.cumsum(w)
-    c[-1] = 1.0
-    return SortedProfile(v, c)
-
-
-def _as_profile(m) -> SortedProfile:
-    if isinstance(m, SortedProfile):
-        return m
-    if isinstance(m, EmpiricalMeasure):
-        if m.dim != 1:
-            raise ValueError(f"measure must be one-dimensional, got d={m.dim}")
-        return sorted_profile(m.points[:, 0], m.weights)
-    return sorted_profile(m)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -110,19 +62,33 @@ def per_row_costs(rows_a, weights_a, rows_b, weights_b, q: float) -> np.ndarray:
     return np.sum(gaps, axis=1)
 
 
+def _sorted_row(m) -> tuple[np.ndarray, np.ndarray | None]:
+    """One side as a (1, n) ascending row with its weights, None when uniform.
+
+    Arrays become uniform measures, so values and weights pass the one
+    EmpiricalMeasure validator; the sort is the stable argsort, and
+    non-uniform weights are permuted with it.
+    """
+    if not isinstance(m, EmpiricalMeasure):
+        values = np.asarray(m, dtype=float)
+        if values.ndim != 1:
+            raise ValueError(f"a 1-D measure must be a 1-D array, got shape {values.shape}")
+        m = EmpiricalMeasure(values[:, None])
+    if m.dim != 1:
+        raise ValueError(f"measure must be one-dimensional, got d={m.dim}")
+    order = np.argsort(m.points[:, 0], kind="stable")
+    return m.points[order, 0][None], None if m.is_uniform() else m.weights[order][None]
+
+
 def wasserstein_1d_q(a, b, q: float = 2.0) -> float:
-    """Exact W_q^q between two 1-D measures (arrays, measures, or profiles).
+    """Exact W_q^q between two 1-D measures: 1-D arrays or one-column measures.
 
     One row of per_row_costs. Symmetric in (a, b) and zero iff the weighted
     supports coincide as distributions.
     """
     if not 1 <= q < math.inf:
         raise ValueError(f"order q must be finite and >= 1, got {q}")
-    pa, pb = _as_profile(a), _as_profile(b)
-    return float(per_row_costs(
-        pa.values[None], np.diff(pa.cumweights, prepend=0.0)[None],
-        pb.values[None], np.diff(pb.cumweights, prepend=0.0)[None], q,
-    )[0])
+    return float(per_row_costs(*_sorted_row(a), *_sorted_row(b), q)[0])
 
 
 def wasserstein_1d(a, b, q: float = 2.0) -> float:

@@ -753,6 +753,11 @@ class TestDeterminism:
         assert r.returncode == 0
         assert dpswd.__version__ in r.stdout
 
+    def test_version_matches_pyproject(self):
+        # both are bumped by hand at every release; no tomllib before Python 3.11
+        text = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
+        assert re.search(r'^version = "([^"]*)"$', text, re.M)[1] == dpswd.__version__
+
     @SUBCOMMAND_RUNS
     def test_identical_output_across_runs_and_threads(self, data_dir, tmp_path, argv_fn):
         # identical arguments (including --out); the sensitivity simulation

@@ -206,11 +206,9 @@ class TestRunFlow:
             assert not np.any(first == second)
 
     def test_tail_bound_needs_delta_share(self):
-        src = normalize_for_privacy(cloud(10, 2, 18, shift=1.0))
-        tgt = normalize_for_privacy(cloud(10, 2, 19))
-        cfg = FlowConfig(iterations=5, learning_rate=0.1, k=8, sigma=1.0, delta_split=0.0)
         with pytest.raises(ValueError, match="delta_split must be > 0"):
-            run_flow(src, tgt, cfg)
+            FlowConfig(iterations=5, learning_rate=0.1, k=8, sigma=1.0, delta_split=0.0)
+        FlowConfig(iterations=5, learning_rate=0.1, k=8, sigma=0.0, delta_split=0.0)  # nothing charged
 
     def test_source_unchanged_and_final_points_read_only(self):
         src, tgt = cloud(15, 2, 27, shift=2.0), cloud(15, 2, 28)

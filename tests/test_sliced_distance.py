@@ -12,15 +12,25 @@ from dpswd.sliced_distance import (
     swd,
     value_and_gradient,
 )
-from dpswd.wasserstein1d import SortedProfile, per_row_costs, sorted_profile
+from dpswd.wasserstein1d import per_row_costs
 
 V5 = 2 * (5 - 1) / (25 * (5 + 2))  # variance of a squared projection at d=5
 
 
-def walk_cost(pa: SortedProfile, pb: SortedProfile, q: float) -> float:
-    """Reference W_q^q: walk the merged breakpoints of two profiles one segment at a time."""
-    va, ca = pa.values, pa.cumweights
-    vb, cb = pb.values, pb.cumweights
+def ladder(values, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending values, cumulative weights ending at 1), zero weights dropped."""
+    v = np.asarray(values, dtype=float)
+    w = np.full(v.size, 1.0 / v.size) if weights is None else weights / weights.sum()
+    order = np.argsort(v, kind="stable")
+    keep = w[order] > 0
+    c = np.cumsum(w[order][keep])
+    c[-1] = 1.0
+    return v[order][keep], c
+
+
+def walk_cost(a: tuple, b: tuple, q: float) -> float:
+    """Reference W_q^q: walk the merged breakpoints of two ladders one segment at a time."""
+    (va, ca), (vb, cb) = a, b
     i = j = 0
     z = 0.0
     total = 0.0
@@ -184,10 +194,10 @@ class TestPerProjectionCosts:
         for w in (w_a, w_b):
             if w is not None:
                 w[1] = 0.0  # a zero weight must contribute no mass
-        # weights are left unnormalized: like sorted_profile, the costs rescale them
+        # weights are left unnormalized: like ladder, the costs rescale them
         got = per_row_costs(*self.sorted_side(rows_a, w_a), *self.sorted_side(rows_b, w_b), q)
         expected = [
-            walk_cost(sorted_profile(rows_a[j], w_a), sorted_profile(rows_b[j], w_b), q)
+            walk_cost(ladder(rows_a[j], w_a), ladder(rows_b[j], w_b), q)
             for j in range(k)
         ]
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)

@@ -1,16 +1,13 @@
+import math
 from itertools import permutations
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from dpswd import from_points
-from dpswd.wasserstein1d import (
-    SortedProfile,
-    sorted_profile,
-    wasserstein_1d,
-    wasserstein_1d_q,
-)
+from dpswd import from_points, wasserstein1d
+from dpswd.measures import DataError, EmpiricalMeasure
+from dpswd.wasserstein1d import per_row_costs, wasserstein_1d, wasserstein_1d_q
 
 
 def lp_transport_cost(xa, wa, xb, wb, q):
@@ -74,7 +71,7 @@ class TestLpEquivalence:
             wa = rng.uniform(0.1, 1.0, n)
             wb = rng.uniform(0.1, 1.0, m)
             mine = wasserstein_1d_q(
-                sorted_profile(xa, wa), sorted_profile(xb, wb), q
+                EmpiricalMeasure(xa[:, None], wa), EmpiricalMeasure(xb[:, None], wb), q
             )
             oracle = lp_transport_cost(xa, wa, xb, wb, q)
             assert abs(mine - oracle) <= 1e-10
@@ -99,8 +96,8 @@ class TestMetricProperties:
 
     def test_zero_iff_same_distribution(self):
         # same weighted support expressed with different multiplicities
-        a = sorted_profile([0.0, 1.0], [2.0, 2.0])
-        b = sorted_profile([0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0])
+        a = EmpiricalMeasure(np.array([0.0, 1.0])[:, None], [2.0, 2.0])
+        b = EmpiricalMeasure(np.array([0.0, 0.0, 1.0, 1.0])[:, None], [1.0, 1.0, 1.0, 1.0])
         assert wasserstein_1d_q(a, b, 2) == 0.0
         assert wasserstein_1d_q([0.0], [1e-9], 1) > 0
 
@@ -159,13 +156,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             wasserstein_1d_q([], [1.0], 1)
 
-    def test_profile_invariants(self):
-        with pytest.raises(ValueError):
-            SortedProfile(np.array([1.0, 0.0]), np.array([0.5, 1.0]))
-        with pytest.raises(ValueError):
-            SortedProfile(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            SortedProfile(np.array([0.0, 1.0]), np.array([0.5, 0.9]))
+    def test_negative_weight_rejected(self):
+        # weights reach the cost only through EmpiricalMeasure's validator:
+        # the module defines no second weighted-sample type or builder
+        own = {name for name, obj in vars(wasserstein1d).items()
+               if getattr(obj, "__module__", None) == wasserstein1d.__name__ and name[0] != "_"}
+        assert own == {"per_row_costs", "wasserstein_1d", "wasserstein_1d_q"}
+        with pytest.raises(DataError, match="nonnegative"):
+            wasserstein_1d_q(EmpiricalMeasure(np.array([[0.0], [1.0]]), [1.0, -0.5]), [0.0], 2)
+
+    def test_two_column_array_rejected(self):
+        # not flattened into one sample: the shape is named
+        with pytest.raises(ValueError, match=r"1-D array, got shape \(2, 2\)"):
+            wasserstein_1d_q([[0.0, 10.0], [1.0, 11.0]], [0.0, 1.0, 10.0, 11.0], 2)
+        with pytest.raises(ValueError, match=r"1-D array, got shape \(2, 2\)"):
+            wasserstein_1d_q([0.0, 1.0, 10.0, 11.0], [[0.0, 10.0], [1.0, 11.0]], 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(DataError, match="NaN or Inf"):
+            wasserstein_1d_q([0.0, bad], [1.0, 2.0], 2)
+        with pytest.raises(DataError, match="NaN or Inf"):
+            wasserstein_1d_q([1.0, 2.0], [bad, 0.0], 2)
 
     def test_measure_objects_accepted(self):
         a = from_points([[0.0], [2.0]])
@@ -173,3 +185,36 @@ class TestValidation:
         assert wasserstein_1d_q(a, b, 1) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             wasserstein_1d_q(from_points([[0.0, 1.0]]), b, 1)
+
+
+class TestOneRowOfTheKernel:
+    """wasserstein_1d_q is per_row_costs on the two stably sorted rows."""
+
+    @staticmethod
+    def sorted_row(values, weights):
+        order = np.argsort(values, kind="stable")
+        if weights is None:
+            return values[order][None], None
+        return values[order][None], (weights / weights.sum())[order][None]
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("weighted_a, weighted_b", [
+        (False, False), (True, False), (False, True), (True, True)])
+    def test_bit_identical_to_per_row_costs(self, weighted_a, weighted_b, q):
+        rng = np.random.default_rng(17)
+        for n, m in [(1, 1), (5, 5), (7, 4), (3, 9)]:
+            # one decimal makes ties within and across the two sides common
+            xa = np.round(rng.standard_normal(n), 1)
+            xb = np.round(rng.standard_normal(m) + 0.2, 1)
+            wa = rng.uniform(0.1, 1.0, n) if weighted_a else None
+            wb = rng.uniform(0.1, 1.0, m) if weighted_b else None
+            for w in (wa, wb):
+                if w is not None and w.size > 1:
+                    w[1] = 0.0  # a zero weight must contribute no mass
+            a = xa if wa is None else EmpiricalMeasure(xa[:, None], wa)
+            b = xb if wb is None else EmpiricalMeasure(xb[:, None], wb)
+            expected = per_row_costs(*self.sorted_row(xa, wa), *self.sorted_row(xb, wb), q)[0]
+            assert wasserstein_1d_q(a, b, q) == expected
+            # a measure with uniform weights takes the same None-weight row as its array
+            if wa is None:
+                assert wasserstein_1d_q(from_points(xa[:, None]), b, q) == expected
