@@ -6,18 +6,18 @@ Renyi-DP accountant with noise calibration, and a particle-flow demo that
 trains against a private target.
 """
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .accountant import (
     CalibrationResult,
     InfeasibleBudgetError,
     MechanismSpec,
+    ORDERS,
     PrivacyBudget,
     RdpCurve,
     account,
     calibrate_sigma,
     compose,
-    default_orders,
     gaussian_rdp,
     rdp_to_dp,
     subsampled_rdp,
@@ -73,6 +73,7 @@ __all__ = [
     "FlowTrace",
     "InfeasibleBudgetError",
     "MechanismSpec",
+    "ORDERS",
     "PrivacyBudget",
     "RdpCurve",
     "Seed",
@@ -85,7 +86,6 @@ __all__ = [
     "calibrate_sigma",
     "clt_bound",
     "compose",
-    "default_orders",
     "derive_seed",
     "dp_swd",
     "fixed_sensitivity",

@@ -27,12 +27,12 @@ with sampling_rate 1 is charged without amplification, and evaluates
 non-integer orders at the next larger integer (valid since Renyi
 divergence is nondecreasing in the order).
 
-Only eps(j) depends on sigma. The rest of each term, log C(alpha, j) +
-j log g, together with the map from grid orders to integer orders,
-depends only on (order grid, g). It is built once per such key and kept,
-read-only, in a small cache, so the evaluations of one calibration reuse
-it and each computes only the sigma-dependent coefficients and the
-log-sum-exp.
+Only eps(j) depends on sigma. The binomial part, log C(alpha, j), and
+the map from grid orders to integer orders depend only on the one grid
+ORDERS, so they are built once at import and kept read-only. The
+sampling-rate term j log g is added to them once per g and kept in a
+small cache, so the evaluations of one calibration reuse it and each
+computes only the sigma-dependent coefficients and the log-sum-exp.
 
 Random directions and the sensitivity tail. A "bernstein" or "clt" bound
 w(k, d, p) on the squared sensitivity holds with probability >= 1 - p over
@@ -58,7 +58,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sensitivity import TAIL_BOUNDS, SensitivityBound, _check_count
+from .sensitivity import TAIL_BOUNDS, SensitivityBound, _check_count, check_bound_kind
+
+# The order grid of every account: quarter steps {1.25, 1.5, ..., 64}, then 128 and 256.
+ORDERS = np.concatenate([np.arange(1.25, 64.125, 0.25), [128.0, 256.0]])
+
+
+def _binomial_part() -> tuple:
+    """(integer orders alpha that ORDERS needs, grid position -> index into them,
+    j = 0..max alpha, log C(alpha, j) with -inf for j > alpha), all read-only."""
+    alphas, row = np.unique(np.maximum(2, np.ceil(ORDERS - 1e-12)).astype(int), return_inverse=True)
+    j = np.arange(alphas[-1] + 1)
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(j[1:]))])
+    a = alphas[:, None]
+    log_binom = np.where(j <= a, log_fact[a] - log_fact[j] - log_fact[np.maximum(a - j, 0)], -np.inf)
+    for arr in (ORDERS, alphas, row, j, log_binom):
+        arr.flags.writeable = False
+    return alphas, row, j, log_binom
+
+
+_ALPHAS, _ROW, _J, _LOG_BINOM = _binomial_part()
+
 
 class InfeasibleBudgetError(ValueError):
     """The (eps, delta) target cannot be met within the sigma bracket."""
@@ -118,6 +138,7 @@ class PrivacyBudget:
     def tail_bound(self, kind: str, k: int, d: int) -> SensitivityBound:
         """The probabilistic bound `kind` on one of the steps' direction draws:
         w(k, d, delta_sensitivity / steps) (see the module docstring)."""
+        check_bound_kind(kind)
         check_delta_share(kind, self.delta_split)
         return TAIL_BOUNDS[kind](k, d, self.delta_sensitivity / self.steps)
 
@@ -140,72 +161,40 @@ class MechanismSpec:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.sensitivity_sq <= 0:
             raise ValueError(f"sensitivity_sq must be positive, got {self.sensitivity_sq}")
-        try:  # the RDP rate that every curve is built from
-            rate = float(self.sensitivity_sq) / (2.0 * float(self.sigma) ** 2)
+        w, sigma = float(self.sensitivity_sq), float(self.sigma)
+        try:  # the rate and the curve at the top order, in Python floats so nothing warns
+            rate, top = w / (2.0 * sigma**2), float(ORDERS[-1]) * w / (2.0 * sigma**2)
         except (OverflowError, ZeroDivisionError):  # sigma^2 overflowed or underflowed to 0
-            rate = math.nan
-        if not 0.0 < rate < math.inf:
-            raise ValueError(f"sigma={self.sigma:g} is out of range: w / (2 sigma^2) must be "
-                             f"a finite float > 0, with w={self.sensitivity_sq:g}")
+            rate = top = math.nan
+        if not (0.0 < rate and top < math.inf):
+            raise ValueError(f"sigma={self.sigma:g} is out of range: alpha * w / (2 sigma^2) must be "
+                             f"a finite float > 0 at every order, with w={self.sensitivity_sq:g}")
 
 
-def default_orders() -> np.ndarray:
-    """The order grid of every account: quarter steps {1.25, 1.5, ..., 64}, then 128 and 256."""
-    return np.concatenate([np.arange(1.25, 64.125, 0.25), [128.0, 256.0]])
-
-
-def gaussian_rdp(spec: MechanismSpec, orders=None) -> RdpCurve:
-    """Unamplified Gaussian mechanism: eps(alpha) = alpha * w / (2 sigma^2).
-
-    Raises ValueError naming sigma when that overflows float64 at an order.
-    """
-    o = default_orders() if orders is None else np.asarray(orders, dtype=float)
-    with np.errstate(over="ignore"):
-        eps = o * spec.sensitivity_sq / (2.0 * spec.sigma**2)
-    if not np.isfinite(eps).all():
-        raise ValueError(f"sigma={spec.sigma:g} is out of range: alpha * w / (2 sigma^2) overflows "
-                         f"at order {o[~np.isfinite(eps)][0]:g}, with w={spec.sensitivity_sq:g}")
-    return RdpCurve(o, eps)
-
-
-@dataclass(frozen=True)
-class _AmplificationTable:
-    """The sigma-independent part of the subsampling bound, read-only."""
-
-    alphas: np.ndarray  # distinct integer orders the grid needs, ascending
-    row: np.ndarray  # grid position -> index into alphas
-    j: np.ndarray  # 0..max alpha
-    log_weight: np.ndarray  # (alphas x j): log C(alpha, j) + j log g; -inf for j > alpha
+def gaussian_rdp(spec: MechanismSpec) -> RdpCurve:
+    """Unamplified Gaussian mechanism: eps(alpha) = alpha * w / (2 sigma^2) on ORDERS."""
+    return RdpCurve(ORDERS, ORDERS * spec.sensitivity_sq / (2.0 * spec.sigma**2))
 
 
 _EXP_ZERO = -746.0  # float64 exp underflows to exactly +0.0 below about -745.13
 
 
 @functools.lru_cache(maxsize=8)
-def _amplification_table(grid: bytes, gamma: float) -> _AmplificationTable:
-    """Table for the float64 order grid whose bytes are `grid` (see the module docstring)."""
-    o = np.frombuffer(grid, dtype=float)
-    alphas, row = np.unique(np.maximum(2, np.ceil(o - 1e-12)).astype(int), return_inverse=True)
-    j = np.arange(alphas[-1] + 1)
-    log_fact = np.concatenate([[0.0], np.cumsum(np.log(j[1:]))])
-    a = alphas[:, None]
-    inside = j <= a
-    log_binom = np.where(inside, log_fact[a] - log_fact[j] - log_fact[np.maximum(a - j, 0)], -np.inf)
-    table = _AmplificationTable(alphas, row, j, log_binom + j * math.log(gamma))
-    for arr in vars(table).values():
-        arr.flags.writeable = False
-    return table
+def _log_weight(gamma: float) -> np.ndarray:
+    """(_ALPHAS x _J), read-only: log C(alpha, j) + j log gamma; -inf for j > alpha."""
+    log_weight = _LOG_BINOM + _J * math.log(gamma)
+    log_weight.flags.writeable = False
+    return log_weight
 
 
-def _amplified_integer_rdp(table: _AmplificationTable, eps_j: np.ndarray) -> np.ndarray:
-    """Bound at each of table.alphas from the base curve's values eps(0..max alpha)."""
-    j = table.j
+def _amplified_integer_rdp(log_weight: np.ndarray, eps_j: np.ndarray) -> np.ndarray:
+    """Bound at each of _ALPHAS from the base curve's values eps(0..max alpha)."""
     # j = 0 is the leading 1; j = 1 has no term; j = 2 has the coefficient
     # min(4(e^{e2}-1), 2 e^{e2}), the second once e2 >= ln 2
     e2 = eps_j[2]
     log_c2 = math.log(2.0) + e2 if e2 >= math.log(2.0) else math.log(4.0 * math.expm1(e2))
-    log_coef = np.concatenate([[0.0, -np.inf, log_c2], math.log(2.0) + (j[3:] - 1) * eps_j[3:]])
-    terms = table.log_weight + log_coef
+    log_coef = np.concatenate([[0.0, -np.inf, log_c2], math.log(2.0) + (_J[3:] - 1) * eps_j[3:]])
+    terms = log_weight + log_coef
     hi = terms.max(axis=1)
     terms -= hi[:, None]
     # exp is exactly +0.0 at or below _EXP_ZERO, so those entries (the -inf
@@ -213,30 +202,28 @@ def _amplified_integer_rdp(table: _AmplificationTable, eps_j: np.ndarray) -> np.
     weights = np.zeros_like(terms)
     np.exp(terms, out=weights, where=terms > _EXP_ZERO)
     log_a = hi + np.log(weights.sum(axis=1))
-    return np.maximum(log_a, 0.0) / (table.alphas - 1)
+    return np.maximum(log_a, 0.0) / (_ALPHAS - 1)
 
 
-def subsampled_rdp(spec: MechanismSpec, gamma: float, orders=None) -> RdpCurve:
+def subsampled_rdp(spec: MechanismSpec, gamma: float) -> RdpCurve:
     """RDP curve of the mechanism on a fixed-size batch drawn at sampling rate gamma.
 
     gamma = 1 returns the unamplified curve exactly. All the integer
-    orders the grid needs are evaluated at once from the cached table for
-    (grid, gamma) (see the module docstring). Fractional orders are charged
-    the bound at the next larger integer, then capped by the unamplified
-    value at the fractional order itself.
+    orders ORDERS needs are evaluated at once from the binomial part and
+    the cached sampling-rate term for gamma (see the module docstring).
+    Fractional orders are charged the bound at the next larger integer,
+    then capped by the unamplified value at the fractional order itself.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    o = default_orders() if orders is None else np.asarray(orders, dtype=float)
-    base = gaussian_rdp(spec, o)
+    base = gaussian_rdp(spec)
     if gamma == 1.0:
         return base
-    table = _amplification_table(base.orders.tobytes(), gamma)
-    eps_j = table.j * (spec.sensitivity_sq / (2.0 * spec.sigma**2))
+    eps_j = _J * (spec.sensitivity_sq / (2.0 * spec.sigma**2))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        eps_int = _amplified_integer_rdp(table, eps_j)
+        eps_int = _amplified_integer_rdp(_log_weight(gamma), eps_j)
     # an order whose amplified bound overflows float64 (NaN) keeps the unamplified value
-    return RdpCurve(o, np.fmin(eps_int[table.row], base.eps_at_order))
+    return RdpCurve(ORDERS, np.fmin(eps_int[_ROW], base.eps_at_order))
 
 
 def compose(curve: RdpCurve, steps: int) -> RdpCurve:
@@ -306,7 +293,7 @@ def calibrate_sigma(budget: PrivacyBudget, sensitivity: SensitivityBound) -> Cal
     bracket, so an accurate estimate closes it at once, and after four
     steps that fail to halve the bracket the next one bisects it. The
     reference schedules take 10 to 21 account() evaluations (bisection took
-    63); the sigma-independent amplification table is built by the first
+    63); the amplification bound's sampling-rate term is built by the first
     and reused by the rest. A budget that the bracket floor sigma = 1e-3
     already meets is clamped: the floor is returned, though a smaller sigma
     may meet it too. The bound is charged as given and reported as the

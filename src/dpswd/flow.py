@@ -22,7 +22,7 @@ import numpy as np
 from .accountant import PrivacyBudget, account, check_delta_share
 from .measures import DataError, EmpiricalMeasure, check_privacy_normalized
 from .randomness import PURPOSE_DATA, Seed, derive_seed, substream
-from .sensitivity import TAIL_BOUNDS, SensitivityBound, _check_count, check_delta
+from .sensitivity import SensitivityBound, _check_count, check_bound_kind, check_delta
 from .sliced_distance import SwdConfig, value_and_gradient
 
 DIVERGENCE_LIMIT = 1e6
@@ -62,8 +62,7 @@ class FlowConfig:
         check_delta(self.delta)
         if not 0.0 <= self.delta_split < 1.0:
             raise ValueError(f"delta_split must lie in [0, 1), got {self.delta_split}")
-        if self.bound_kind not in TAIL_BOUNDS:
-            raise ValueError(f"bound_kind must be one of {tuple(TAIL_BOUNDS)}, got {self.bound_kind!r}")
+        check_bound_kind(self.bound_kind)
         if self.sigma > 0:
             check_delta_share(self.bound_kind, self.delta_split)
 

@@ -16,6 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
+_UNIFORM_TOL = 1e-12  # is_uniform: largest |weight - 1/n| still taken as uniform
+_NORM_TOL = 1e-9  # check_privacy_normalized: slack above the row-norm cap 1/2
+
 
 class DataError(ValueError):
     """Malformed or inconsistent input data (CLI exit code 3)."""
@@ -75,8 +78,8 @@ class EmpiricalMeasure:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def is_uniform(self, tol: float = 1e-12) -> bool:
-        return bool(np.abs(self.weights - 1.0 / self.n).max() <= tol)
+    def is_uniform(self) -> bool:
+        return bool(np.abs(self.weights - 1.0 / self.n).max() <= _UNIFORM_TOL)
 
 
 def from_points(points, weights=None) -> EmpiricalMeasure:
@@ -202,11 +205,11 @@ def normalize_for_privacy(
     return EmpiricalMeasure(out, measure.weights)
 
 
-def check_privacy_normalized(measure: EmpiricalMeasure, tol: float = 1e-9) -> None:
-    """Raise unless every row norm is <= 1/2 (+tol), the mechanism precondition."""
+def check_privacy_normalized(measure: EmpiricalMeasure) -> None:
+    """Raise unless every row norm is <= 1/2 (+_NORM_TOL), the mechanism precondition."""
     norms = np.linalg.norm(measure.points, axis=1)
     worst = float(norms.max())
-    if worst > 0.5 + tol:
+    if worst > 0.5 + _NORM_TOL:
         raise DataError(
             f"measure is not privacy-normalized: max row norm {worst:.6g} > 0.5; "
             "apply normalize_for_privacy first"

@@ -127,6 +127,12 @@ def clt_bound(k: int, d: int, delta: float) -> SensitivityBound:
 TAIL_BOUNDS = {"bernstein": bernstein_bound, "clt": clt_bound}
 
 
+def check_bound_kind(kind: str) -> None:
+    """Refuse a kind that names no bound in TAIL_BOUNDS."""
+    if kind not in TAIL_BOUNDS:
+        raise ValueError(f"bound_kind must be one of {tuple(TAIL_BOUNDS)}, got {kind!r}")
+
+
 def check_delta(delta: float) -> None:
     """Refuse a failure probability outside (0, 1), nan included."""
     if not 0.0 < delta < 1.0:

@@ -139,11 +139,14 @@ def dp_swd(a_public: EmpiricalMeasure, b_private: EmpiricalMeasure, cfg: SwdConf
 
     Both sides must satisfy the unit-sensitivity precondition (all row
     norms <= 1/2, as produced by normalize_for_privacy); sigma must be
-    positive. The private side is consumed into noised projections before
-    any distance code runs.
+    positive. The private side must have uniform weights: only its
+    coordinates are noised, so its weights would reach the costs unnoised.
+    It is consumed into noised projections before any distance code runs.
     """
     if cfg.sigma <= 0:
         raise ValueError("dp_swd requires sigma > 0")
+    if not b_private.is_uniform():
+        raise ValueError("uniform weights required on the private side")
     check_privacy_normalized(a_public)
     check_privacy_normalized(b_private)
     return smoothed_swd(a_public, b_private, cfg)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dpswd import accountant as acc
+from dpswd.flow import FlowConfig
 from dpswd.sensitivity import TAIL_BOUNDS, bernstein_bound, clt_bound, fixed_sensitivity
 
 
@@ -19,22 +20,29 @@ def one_shot_sigma_oracle(eps, delta):
     return (root + math.sqrt(2 * big_l + 2 * eps)) / (2 * eps)
 
 
+def at(curve, orders):
+    """The entries of a curve on acc.ORDERS at `orders`, which must lie on that grid."""
+    index = np.searchsorted(acc.ORDERS, orders)
+    assert np.array_equal(acc.ORDERS[np.minimum(index, acc.ORDERS.size - 1)], orders)
+    return curve.eps_at_order[index]
+
+
 class TestGaussianRdp:
     def test_unit_case(self):
         spec = acc.MechanismSpec(sigma=1.0, sensitivity_sq=1.0)
-        curve = acc.gaussian_rdp(spec, orders=[2.0])
-        assert curve.eps_at_order[0] == 1.0
+        curve = acc.gaussian_rdp(spec)
+        assert at(curve, [2.0])[0] == 1.0
 
     def test_scaled_case(self):
         spec = acc.MechanismSpec(sigma=2.0, sensitivity_sq=2.0)
-        curve = acc.gaussian_rdp(spec, orders=[4.0])
-        assert curve.eps_at_order[0] == 1.0
+        curve = acc.gaussian_rdp(spec)
+        assert at(curve, [4.0])[0] == 1.0
 
     def test_linearity_in_order(self):
         spec = acc.MechanismSpec(sigma=0.7, sensitivity_sq=3.0)
-        curve = acc.gaussian_rdp(spec, orders=[2.0, 4.0, 8.0])
-        assert curve.eps_at_order[1] == 2 * curve.eps_at_order[0]
-        assert curve.eps_at_order[2] == 2 * curve.eps_at_order[1]
+        eps = at(acc.gaussian_rdp(spec), [2.0, 4.0, 8.0])
+        assert eps[1] == 2 * eps[0]
+        assert eps[2] == 2 * eps[1]
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
@@ -48,9 +56,8 @@ class TestGaussianRdp:
             acc.MechanismSpec(sigma=1e-200, sensitivity_sq=1.0)
         # the rate is finite, but alpha times it overflows at order 256
         for sigma in (3e-154, 1e-153):
-            spec = acc.MechanismSpec(sigma=sigma, sensitivity_sq=4.0)
             with pytest.raises(ValueError, match=f"sigma={sigma:g} is out of range"):
-                acc.gaussian_rdp(spec)
+                acc.MechanismSpec(sigma=sigma, sensitivity_sq=4.0)
 
 
 class TestSubsampledRdp:
@@ -62,8 +69,8 @@ class TestSubsampledRdp:
 
     def test_amplification_example(self):
         spec = acc.MechanismSpec(sigma=2.0, sensitivity_sq=1.0)
-        sub = acc.subsampled_rdp(spec, 0.01, orders=[8.0])
-        assert sub.eps_at_order[0] < 1.0  # base eps(8) = 8/8 = 1
+        sub = acc.subsampled_rdp(spec, 0.01)
+        assert at(sub, [8.0])[0] < 1.0  # base eps(8) = 8/8 = 1
 
     def test_never_exceeds_base_curve(self):
         for sigma in (0.5, 1.0, 3.0):
@@ -87,21 +94,21 @@ class TestSubsampledRdp:
         spec = acc.MechanismSpec(sigma=1.0, sensitivity_sq=1.0)
         orders = [2.0, 4.0, 16.0]
         gammas = (0.001, 0.01, 0.1, 0.5, 1.0)
-        curves = [acc.subsampled_rdp(spec, g, orders).eps_at_order for g in gammas]
+        curves = [at(acc.subsampled_rdp(spec, g), orders) for g in gammas]
         for lo, hi in zip(curves, curves[1:]):
             assert (lo <= hi + 1e-15).all()
 
     def test_quadratic_scaling_in_small_gamma(self):
         spec = acc.MechanismSpec(sigma=1.0, sensitivity_sq=1.0)
         orders = [4.0]
-        e3 = acc.subsampled_rdp(spec, 1e-3, orders).eps_at_order[0]
-        e4 = acc.subsampled_rdp(spec, 1e-4, orders).eps_at_order[0]
+        e3 = at(acc.subsampled_rdp(spec, 1e-3), orders)[0]
+        e4 = at(acc.subsampled_rdp(spec, 1e-4), orders)[0]
         assert e3 / e4 == pytest.approx(100.0, rel=0.2)
 
     def test_fractional_orders_use_next_integer(self):
         spec = acc.MechanismSpec(sigma=1.0, sensitivity_sq=1.0)
-        frac = acc.subsampled_rdp(spec, 0.05, orders=[2.5]).eps_at_order[0]
-        ceil = acc.subsampled_rdp(spec, 0.05, orders=[3.0]).eps_at_order[0]
+        frac = at(acc.subsampled_rdp(spec, 0.05), [2.5])[0]
+        ceil = at(acc.subsampled_rdp(spec, 0.05), [3.0])[0]
         assert frac == ceil
 
     def test_gamma_validation(self):
@@ -152,26 +159,26 @@ class TestSubsampledRdpOracle:
     @at_oracle_points
     def test_matches_decimal_evaluation(self, sigma, w, gamma):
         spec = acc.MechanismSpec(sigma=sigma, sensitivity_sq=w)
-        curve = acc.subsampled_rdp(spec, gamma, orders=self.orders)
+        curve = at(acc.subsampled_rdp(spec, gamma), self.orders)
         expected = subsampled_rdp_oracle(sigma, w, gamma, self.orders)
         # float64 log-domain rounding: relative 1e-12, plus 1e-14 near zero
-        assert curve.eps_at_order == pytest.approx(expected, rel=1e-12, abs=1e-14)
+        assert curve == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
     @at_oracle_points
     def test_dense_grid_matches_decimal_evaluation(self, sigma, w, gamma):
         # the quarter-step grid's fractional orders, 1.25 to 1.75 among them,
         # are charged the bound at the next integer (at least 2) and capped
         # at their own base value
-        grid = acc.default_orders()
+        grid = acc.ORDERS
         spec = acc.MechanismSpec(sigma=sigma, sensitivity_sq=w)
-        curve = acc.subsampled_rdp(spec, gamma, orders=grid)
+        curve = acc.subsampled_rdp(spec, gamma)
         expected = subsampled_rdp_oracle(sigma, w, gamma, grid)
         assert curve.eps_at_order == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
 def full_array_rdp(sigma, w, gamma, orders):
     """The bound as one uncached (orders x j) log-sum-exp with every entry
-    exponentiated: the evaluation the cached table must reproduce bit for bit."""
+    exponentiated: the evaluation subsampled_rdp must reproduce bit for bit."""
     o = np.asarray(orders, dtype=float)
     alphas, row = np.unique(np.maximum(2, np.ceil(o - 1e-12)).astype(int), return_inverse=True)
     j = np.arange(alphas[-1] + 1)
@@ -188,22 +195,22 @@ def full_array_rdp(sigma, w, gamma, orders):
     return np.minimum((np.maximum(log_a, 0.0) / (alphas - 1))[row], o * w / (2.0 * sigma**2))
 
 
-# the default grid before it became the quarter-step grid, a strict subset of it;
-# subsampled_rdp still takes chosen orders, and caches a table per (grid, gamma)
+# the default grid before it became the quarter-step grid, a strict subset of it
+# with the same integer orders
 SUBSET_ORDERS = np.concatenate([[1.25, 1.5, 1.75], np.arange(2.0, 65.0), [128.0, 256.0]])
 
 
 class TestSubsampledRdpFullArray:
     @pytest.mark.parametrize("gamma", [100 / 60000, 256 / 162000, 0.01, 0.3,
                                        1e-5, 0.05, 0.5, 0.9])
-    @pytest.mark.parametrize("grid", [acc.default_orders(), SUBSET_ORDERS], ids=["quarter", "subset"])
+    @pytest.mark.parametrize("grid", [acc.ORDERS, SUBSET_ORDERS], ids=["quarter", "subset"])
     def test_bit_identical(self, grid, gamma):
         for sigma in np.geomspace(1e-3, 1e3, 31):
             for w in (0.3, 17.136):
                 spec = acc.MechanismSpec(sigma=float(sigma), sensitivity_sq=w)
-                curve = acc.subsampled_rdp(spec, gamma, grid)
+                curve = acc.subsampled_rdp(spec, gamma)
                 expected = full_array_rdp(float(sigma), w, gamma, grid)
-                assert np.array_equal(curve.eps_at_order, expected), (sigma, w)
+                assert np.array_equal(at(curve, grid), expected), (sigma, w)
 
 
 class TestCompose:
@@ -246,7 +253,7 @@ class TestRdpToDp:
 
     def test_is_true_minimum_over_grid(self):
         rng = np.random.default_rng(0)
-        orders = acc.default_orders()
+        orders = acc.ORDERS
         curve = acc.RdpCurve(orders, rng.uniform(0.01, 2.0, orders.size))
         eps, _ = acc.rdp_to_dp(curve, 1e-3)
         per_order = curve.eps_at_order + math.log(1e3) / (orders - 1)
@@ -315,7 +322,7 @@ class TestCalibration:
         )
         bound = bernstein_bound(k, d, delta / 2)
         eps, order = acc.account(sigma, budget, bound)
-        orders = acc.default_orders()
+        orders = acc.ORDERS
         direct = orders * bound.w / (2 * sigma**2) + math.log(2 / delta) / (orders - 1)
         assert eps == pytest.approx(direct.min(), abs=1e-9)
 
@@ -363,8 +370,8 @@ class TestCalibration:
         without = acc.calibrate_sigma(acc.PrivacyBudget(sampling_rate=1.0, **kwargs), bound).sigma
         assert without > with_amp
 
-    def test_default_orders_shape(self):
-        orders = acc.default_orders()
+    def test_orders_shape(self):
+        orders = acc.ORDERS
         assert orders[0] == 1.25
         assert orders[-1] == 256.0
         assert np.all(np.diff(orders) > 0)
@@ -455,7 +462,7 @@ class TestCalibrationSweep:
 class TestCalibrationPins:
     @pytest.mark.parametrize("case", list(CALIBRATION_PINS), ids="-".join)
     def test_bit_identical(self, case):
-        acc._amplification_table.cache_clear()
+        acc._log_weight.cache_clear()
         result = reference_calibration(*case)
         assert (result.sigma, result.eps_achieved, result.best_order) == CALIBRATION_PINS[case]
 
@@ -468,7 +475,8 @@ class TestCalibrationPins:
         sigma, eps, order = CALIBRATION_PINS[case]
         assert acc.account(sigma, budget, bound) == (eps, order)
         spec = acc.MechanismSpec(sigma=sigma, sensitivity_sq=bound.w)
-        curve = acc.compose(acc.subsampled_rdp(spec, budget.sampling_rate, SUBSET_ORDERS), budget.steps)
+        subset = at(acc.subsampled_rdp(spec, budget.sampling_rate), SUBSET_ORDERS)
+        curve = acc.compose(acc.RdpCurve(SUBSET_ORDERS, subset), budget.steps)
         eps_subset, order_subset = acc.rdp_to_dp(curve, budget.delta_conversion)
         if order == int(order):
             assert (eps_subset, order_subset) == (eps, order)
@@ -477,20 +485,19 @@ class TestCalibrationPins:
 
     def test_table_built_once_per_calibration(self, monkeypatch):
         evaluations = counted_account(monkeypatch)
-        acc._amplification_table.cache_clear()
+        acc._log_weight.cache_clear()
         reference_calibration("mnist-clt")
-        info = acc._amplification_table.cache_info()
+        info = acc._log_weight.cache_info()
         assert info.misses == 1
         assert info.hits == len(evaluations) - 1  # every evaluation after the first
-        reference_calibration("mnist-bernstein")  # same grid and gamma: same table
-        assert acc._amplification_table.cache_info().misses == 1
+        reference_calibration("mnist-bernstein")  # same gamma: same cached term
+        assert acc._log_weight.cache_info().misses == 1
 
 
 class TestAmplificationTableCache:
     def test_cached_arrays_are_read_only(self):
         acc.subsampled_rdp(acc.MechanismSpec(sigma=1.0, sensitivity_sq=1.0), 0.01)
-        table = acc._amplification_table(acc.default_orders().tobytes(), 0.01)
-        for arr in vars(table).values():
+        for arr in (acc._log_weight(0.01), acc.ORDERS, acc._ALPHAS, acc._ROW, acc._J, acc._LOG_BINOM):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
@@ -512,9 +519,9 @@ class TestAmplificationTableCache:
 
         alone = {}
         for case in cases:
-            acc._amplification_table.cache_clear()
+            acc._log_weight.cache_clear()
             alone[case] = [evaluate(case, sigma) for sigma in sigmas]
-        acc._amplification_table.cache_clear()
+        acc._log_weight.cache_clear()
         interleaved = {case: [] for case in cases}
         for sigma in sigmas:
             for case in cases:
@@ -522,18 +529,18 @@ class TestAmplificationTableCache:
         assert interleaved == alone
         # a calibration on a cache that holds the other schedule's table
         for case, other in (cases, cases[::-1]):
-            acc._amplification_table.cache_clear()
+            acc._log_weight.cache_clear()
             cold = reference_calibration(*case)
             reference_calibration(*other)
             assert reference_calibration(*case) == cold
 
     def test_evicted_tables_rebuild_identically(self):
         spec = acc.MechanismSpec(sigma=0.9, sensitivity_sq=3.0)
-        acc._amplification_table.cache_clear()
+        acc._log_weight.cache_clear()
         gammas = [1.0 / m for m in range(20, 40)]  # more keys than the cache holds
         first = [acc.subsampled_rdp(spec, g).eps_at_order for g in gammas]
         again = [acc.subsampled_rdp(spec, g).eps_at_order for g in gammas]
-        assert acc._amplification_table.cache_info().currsize < len(gammas)
+        assert acc._log_weight.cache_info().currsize < len(gammas)
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
@@ -625,6 +632,15 @@ class TestBudgetType:
         no_share = acc.PrivacyBudget(eps_target=1.0, delta_target=1e-4, delta_split=0.0)
         with pytest.raises(ValueError, match="delta_split must be > 0"):
             no_share.tail_bound("bernstein", 100, 50)
+
+    def test_tail_bound_refuses_unknown_kind(self):
+        # the same check and message as FlowConfig's, not a KeyError
+        message = r"bound_kind must be one of \('bernstein', 'clt'\), got 'foo'"
+        budget = acc.PrivacyBudget(eps_target=1.0, delta_target=1e-4)
+        with pytest.raises(ValueError, match=message):
+            budget.tail_bound("foo", 100, 50)
+        with pytest.raises(ValueError, match=message):
+            FlowConfig(iterations=1, learning_rate=0.1, bound_kind="foo")
 
     @pytest.mark.parametrize("steps", [1, 3, 60000])
     @pytest.mark.parametrize("kind", list(TAIL_BOUNDS))

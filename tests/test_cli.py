@@ -758,6 +758,11 @@ class TestDeterminism:
         text = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
         assert re.search(r'^version = "([^"]*)"$', text, re.M)[1] == dpswd.__version__
 
+    def test_package_all_is_unique_and_resolves(self):
+        # a stale name would break only `from dpswd import *`
+        assert len(set(dpswd.__all__)) == len(dpswd.__all__)
+        assert [name for name in dpswd.__all__ if not hasattr(dpswd, name)] == []
+
     @SUBCOMMAND_RUNS
     def test_identical_output_across_runs_and_threads(self, data_dir, tmp_path, argv_fn):
         # identical arguments (including --out); the sensitivity simulation

@@ -42,8 +42,8 @@ class CountingTarget:
     def dim(self):
         return self._inner.dim
 
-    def is_uniform(self, tol=1e-12):
-        return self._inner.is_uniform(tol)
+    def is_uniform(self):
+        return self._inner.is_uniform()
 
 
 class TestRunFlow:

@@ -151,7 +151,7 @@ class TestMonteCarloStreams:
 
 
 def sha256(array: np.ndarray) -> str:
-    return hashlib.sha256(array.tobytes()).hexdigest()
+    return hashlib.sha256(np.ascontiguousarray(array)).hexdigest()
 
 
 def test_private_release_streams_are_frozen():

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from dpswd import from_points, normalize_for_privacy
 from dpswd.measures import DataError, EmpiricalMeasure
@@ -76,8 +79,8 @@ class RecordingMeasure:
     def dim(self):
         return self._inner.dim
 
-    def is_uniform(self, tol=1e-12):
-        return self._inner.is_uniform(tol)
+    def is_uniform(self):
+        return self._inner.is_uniform()
 
 
 class TestSwd:
@@ -228,6 +231,18 @@ class TestDpSwd:
         with pytest.raises(DataError, match="not privacy-normalized"):
             dp_swd(ok, raw, SwdConfig(k=8, sigma=1.0, seed=2))
 
+    def test_rejects_weighted_private_side(self):
+        a = normalize_for_privacy(gaussian_cloud(50, 4, 3), "clip", clip=4.0)
+        b = normalize_for_privacy(gaussian_cloud(50, 4, 4), "clip", clip=4.0)
+        cfg = SwdConfig(k=20, sigma=1.0, seed=3)
+        heavy = np.ones(50)
+        heavy[0] = 49.0  # one record holds 49/98 of the mass, and no noise hides it
+        with pytest.raises(ValueError, match="uniform weights required on the private side"):
+            dp_swd(a, from_points(b.points, heavy), cfg)
+        # the public side's weights are public: accepted, and they move the value
+        weighted_public = dp_swd(from_points(a.points, heavy), b, cfg).value
+        assert weighted_public != dp_swd(a, b, cfg).value
+
     def test_sigma_to_zero_limit(self):
         a = normalize_for_privacy(gaussian_cloud(20, 3, 3))
         b = normalize_for_privacy(gaussian_cloud(20, 3, 4))
@@ -325,6 +340,58 @@ class TestSmoothedClosedForm:
             return np.mean(gaps)
 
         assert mean_gap(4000) < mean_gap(250)
+
+
+def normal_order_means(n):
+    """E[Z_(i)], i = 1..n, for n i.i.d. standard normals: quadrature of
+    x n C(n-1, i-1) Phi(x)^(i-1) (1 - Phi(x))^(n-i) phi(x) over the real line."""
+    def mean(i):
+        c = n * math.comb(n - 1, i - 1) / math.sqrt(2 * math.pi)
+        return integrate.quad(lambda x: x * c * special.ndtr(x) ** (i - 1)
+                              * special.ndtr(-x) ** (n - i) * math.exp(-x * x / 2),
+                              -np.inf, np.inf)[0]
+
+    return np.array([mean(i) for i in range(1, n + 1)])
+
+
+# a point pair in d = 5 with |x - y| = 1; the coordinates of x - y do not sum
+# to zero, so noise drawn from the direction stream biases the cost
+NOISE_X = np.array([0.3, -0.1, 0.4, 0.2, 0.0])
+NOISE_DELTA = np.array([0.2, 0.4, 0.4, 0.0, 0.8])
+# 12 checks (2 estimators x 2 sigma x 3 n) of a mean of k = 40000 i.i.d.
+# costs; at |z| <= 4 each fails by chance with probability 6.3e-5, so the
+# family fails with probability below 1e-3
+NOISE_Z_BOUND = 4.0
+
+
+class TestNoiseScaleOracle:
+    """The exact expected cost of the private release at finite n.
+
+    With a = n copies of x and b = n copies of y, projection j releases
+    u.x + sigma Z and u.y + sigma Z' with n i.i.d. standard normals per
+    side. Its sorted q = 2 cost is (u.D)^2 + 2 sigma u.D (mean Z - mean Z')
+    + sigma^2 (1/n) sum_i (Z_(i) - Z'_(i))^2, D = x - y, whose expectation
+    is |D|^2/d + 2 sigma^2 (1 - (1/n) sum_i m_i^2), m_i = E[Z_(i)]. The k
+    per-projection costs are i.i.d., so per_projection gives the standard
+    error. This fixes the noise scale sigma (not sigma^2), noise on both
+    sides, and independent draws for the two sides and the directions.
+    """
+
+    @pytest.mark.parametrize("estimator", ["smoothed_swd", "value_and_gradient"])
+    @pytest.mark.parametrize("n", [1, 5, 20])
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    def test_mean_cost_matches_order_statistics(self, sigma, n, estimator):
+        d, k = 5, 40000
+        a = from_points(np.tile(NOISE_X, (n, 1)))
+        b = from_points(np.tile(NOISE_X - NOISE_DELTA, (n, 1)))
+        seed = int(1000 * n + 10 * sigma) + (estimator == "value_and_gradient")
+        cfg = SwdConfig(k=k, q=2, seed=seed, sigma=sigma)
+        released = smoothed_swd(a, b, cfg)
+        value = released.value if estimator == "smoothed_swd" else value_and_gradient(a, b, cfg)[0]
+        expected = (NOISE_DELTA @ NOISE_DELTA) / d + 2 * sigma**2 * (
+            1 - np.mean(normal_order_means(n) ** 2))
+        se = released.per_projection.std(ddof=1) / math.sqrt(k)
+        assert abs(value - expected) <= NOISE_Z_BOUND * se, (value, expected, se)
 
 
 class TestGradient:
