@@ -56,7 +56,7 @@ class FlowConfig:
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         _check_count("log_every", self.log_every, 1)
-        SwdConfig(k=self.k, sigma=self.sigma)  # refuses k < 1 and a sigma not finite and >= 0
+        SwdConfig(k=self.k, sigma=self.sigma, seed=self.seed)  # refuses k, sigma or seed
         if self.batch_size is not None:
             _check_count("batch_size", self.batch_size, 1)
         check_delta(self.delta)
@@ -154,6 +154,10 @@ def run_flow(
         losses.append(loss)
         gnorms.append(gnorm)
 
+    def trace() -> FlowTrace:
+        return FlowTrace(np.array(iters), np.array(losses), np.array(gnorms), points,
+                         eps, delta, order, bound)
+
     for step in range(cfg.iterations):
         step_seed = derive_seed(cfg.seed, step)
         step_cfg = SwdConfig(k=cfg.k, q=2.0, seed=step_seed, sigma=cfg.sigma, noise_seed=step_seed)
@@ -165,21 +169,14 @@ def run_flow(
         if step % cfg.log_every == 0 or step == cfg.iterations - 1:
             log(step, loss, gnorm)
         if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
-            trace = FlowTrace(
-                np.array(iters), np.array(losses), np.array(gnorms), points,
-                eps, delta, order, bound,
-            )
             raise FlowDiverged(
                 f"loss {loss:.3g} exceeded {DIVERGENCE_LIMIT:.0e} at step {step}; "
                 f"reduce the learning rate (lr={cfg.learning_rate})",
-                trace,
+                trace(),
             )
         # points - lr * grad, written over the gradient, which becomes the points
         grad *= cfg.learning_rate
         points = np.subtract(points, grad, out=grad)
         points.setflags(write=False)
 
-    return FlowTrace(
-        np.array(iters), np.array(losses), np.array(gnorms), points,
-        eps, delta, order, bound,
-    )
+    return trace()

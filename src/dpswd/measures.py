@@ -91,32 +91,31 @@ def from_points(points, weights=None) -> EmpiricalMeasure:
 def load_csv(path, has_header: bool = False) -> EmpiricalMeasure:
     """Read a numeric CSV (one sample per row) into a uniform-weight measure.
 
-    The file is parsed in one pass by numpy's C reader. Input it rejects
-    (ragged rows, bad cells, quoting) and input with no data rows go to the
-    per-cell scan, which names the failing line and column or, for cells
-    that only Python's ``float`` accepts, returns the same array.
+    The file is parsed in one pass by numpy's C reader, given the path, which
+    it reads in chunks (a file object it would parse line by line). Input it
+    rejects (ragged rows, bad cells, quoting) and input with no data rows go
+    to the per-cell scan, which names the failing line and column or, for
+    cells that only Python's ``float`` accepts, returns the same array.
     """
     path = Path(path)
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        points = _bulk_parse(fh, has_header)
+    points = _bulk_parse(path, has_header)
     if points is None:
         points = _scan_csv(path, has_header)
     points.setflags(write=False)  # the measure adopts the fresh array
     return EmpiricalMeasure(points)
 
 
-def _bulk_parse(fh, has_header: bool) -> np.ndarray | None:
+def _bulk_parse(path: Path, has_header: bool) -> np.ndarray | None:
     """The whole file through np.loadtxt, or None where the scan must decide."""
     # loadtxt warns on input without data rows, so look for one first
-    lines = iter(fh)
-    if has_header:
-        next(lines, None)
-    if not any(line.strip("\r\n") for line in lines):
-        return None
-    fh.seek(0)
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        if has_header:
+            next(fh, None)
+        if not any(line.strip("\r\n") for line in fh):
+            return None
     try:
-        return np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2, comments=None,
-                          skiprows=1 if has_header else 0)
+        return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2, comments=None,
+                          skiprows=1 if has_header else 0, encoding="utf-8")
     except ValueError:
         return None
 

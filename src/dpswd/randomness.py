@@ -21,7 +21,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-Seed = int  # 64-bit unsigned master seed; any value is valid
+Seed = int  # master seed: any integer, numpy's included, taken modulo 2**64
 
 _MASK64 = (1 << 64) - 1
 
@@ -41,7 +41,7 @@ def substream(seed: Seed, purpose: int, index: int = 0) -> np.random.Generator:
     other streams were consumed before it. Distinct indices get disjoint
     2**64-draw blocks of one Philox counter sequence.
     """
-    key = np.array([seed & _MASK64, purpose & _MASK64], dtype=np.uint64)
+    key = np.array([int(seed) & _MASK64, purpose & _MASK64], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     if index:
         bitgen.advance(index * (1 << 64))
@@ -55,13 +55,13 @@ def monte_carlo_stream(seed: Seed, purpose: int, index: int = 0) -> np.random.Ge
     (purpose, index), so, as with substream, the stream depends only on its
     key and the seed is taken modulo 2**64.
     """
-    entropy = np.random.SeedSequence(seed & _MASK64, spawn_key=(purpose, index))
+    entropy = np.random.SeedSequence(int(seed) & _MASK64, spawn_key=(purpose, index))
     return np.random.Generator(np.random.SFC64(entropy))
 
 
 def derive_seed(seed: Seed, step: int) -> Seed:
     """Per-step master seed via a splitmix64 mix of (seed, step)."""
-    z = (seed + (step + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = (int(seed) + (step + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)

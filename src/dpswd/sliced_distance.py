@@ -2,16 +2,13 @@
 
 The estimator draws k uniform directions, projects both point clouds, and
 averages exact 1-D W_q^q costs across projections. The private variant
-adds i.i.d. N(0, sigma^2) noise to every projected coordinate before any
-distance computation; the noised projections are the only values derived
-from the private data that cross the privacy boundary (everything after
-is post-processing).
-
-Each call makes that release once: the directions are drawn once, each
-side is projected once into a (k, n) layout (one row per direction) and
-noised row by row, and the rows are sorted. The value, the source gradient
-and one particle-flow step are all computed from that single release; the
-1-D costs of all k rows come from one call to wasserstein1d.per_row_costs.
+adds i.i.d. N(0, sigma^2) noise to every projected coordinate. Each call
+makes one release, (U, noised unsorted projections): the k directions, and
+each side projected once into a (k, n) layout and noised row by row. These
+are the only values derived from the private data that cross the privacy
+boundary. Sorting (by wasserstein1d's one rule), the 1-D costs (one
+per_row_costs call for all k rows), the value, the source gradient and a
+particle-flow step are all post-processing of that one release.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from .randomness import (
     sample_sphere,
 )
 from .sensitivity import _check_count
-from .wasserstein1d import per_row_costs
+from .wasserstein1d import _sort_rows, _sorted_side, per_row_costs
 
 
 @dataclass(frozen=True)
@@ -55,6 +52,9 @@ class SwdConfig:
             raise ValueError(f"q must be finite and >= 1, got {self.q}")
         if not 0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        _check_count("seed", self.seed, -math.inf)  # any integer: taken mod 2**64
+        if self.noise_seed is not None:
+            _check_count("noise_seed", self.noise_seed, -math.inf)
 
 
 @dataclass(frozen=True)
@@ -70,31 +70,13 @@ class SwdResult:
         return self.value ** (1.0 / self.config.q)
 
 
-def _sort_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row sorted ascending, with its stable argsort.
-
-    A row of distinct values has one sorting permutation, which the faster
-    unstable sort finds; rows with ties (or NaNs, which sort last) are
-    re-sorted stably, so the order always equals the stable one.
-    """
-    order = np.argsort(x, axis=1)
-    rows = np.take_along_axis(x, order, axis=1)
-    redo = (rows[:, 1:] == rows[:, :-1]).any(axis=1) | np.isnan(rows[:, -1])
-    if redo.any():
-        order[redo] = np.argsort(x[redo], axis=1, kind="stable")
-    return rows, order
-
-
 def _release(a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig) -> tuple:
-    """Project each side once onto fresh directions, add noise, sort each row.
+    """The release (U, noised source rows, noised target rows); sorting is post-processing.
 
-    Returns (directions (d, k), source rows (k, n), their stable order,
-    source weights, target rows (k, m), target weights). Rows ascend; a
-    side's weights are None when uniform, else permuted into row order.
-
-    For the private side this is the single point where raw coordinates are
-    read; only the noised rows flow into distance computations. Noise row j
-    depends only on (noise seed, purpose, j, n), so it is prefix-stable in k.
+    U is (d, k), one fresh direction per column; the rows are each side's
+    noised (k, n) and (k, m) projections, unsorted. For the private side this
+    is the one point where raw coordinates are read. Noise row j depends only
+    on (noise seed, purpose, j, n), so it is prefix-stable in k.
     """
     if a.dim != b.dim:
         raise DataError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -105,15 +87,7 @@ def _release(a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig) -> tuple:
     if cfg.sigma > 0:
         proj_a += sample_gaussian_matrix(cfg.k, a.n, cfg.sigma, noise_seed, PURPOSE_NOISE_SOURCE)
         proj_b += sample_gaussian_matrix(cfg.k, b.n, cfg.sigma, noise_seed, PURPOSE_NOISE_TARGET)
-    source, order_a = _sort_rows(proj_a)
-    weights_a = None if a.is_uniform() else a.weights[order_a]
-    if b.is_uniform():
-        proj_b.sort(axis=1)
-        weights_b = None
-    else:
-        proj_b, order_b = _sort_rows(proj_b)
-        weights_b = b.weights[order_b]
-    return directions, source, order_a, weights_a, proj_b, weights_b
+    return directions, proj_a, proj_b
 
 
 def smoothed_swd(a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig) -> SwdResult:
@@ -122,8 +96,8 @@ def smoothed_swd(a: EmpiricalMeasure, b: EmpiricalMeasure, cfg: SwdConfig) -> Sw
     With sigma=0 this is the plain Monte-Carlo SWD estimator. The same seed
     always reproduces the same directions and noise.
     """
-    _, source, _, weights_a, target, weights_b = _release(a, b, cfg)
-    costs = per_row_costs(source, weights_a, target, weights_b, cfg.q)
+    _, proj_a, proj_b = _release(a, b, cfg)
+    costs = per_row_costs(*_sorted_side(proj_a, a), *_sorted_side(proj_b, b), cfg.q)
     return SwdResult(value=float(np.mean(costs)), per_projection=costs, config=cfg)
 
 
@@ -170,7 +144,9 @@ def value_and_gradient(
         raise DataError(f"equal sample counts required, got {a.n} and {b.n}")
     if not (a.is_uniform() and b.is_uniform()):
         raise ValueError("uniform weights required for the source gradient")
-    directions, source, order, _, target, _ = _release(a, b, cfg)
+    directions, source, target = _release(a, b, cfg)
+    source, order = _sort_rows(source)  # the order scatters the gradient back
+    target.sort(axis=1)
     loss = float(np.mean(per_row_costs(source, None, target, None, cfg.q)))
     diffs = np.subtract(source, target, out=source)
     del target

@@ -7,10 +7,10 @@ the two cumulative-weight ladders, computed here exactly (no quantile grid,
 no tolerance knob). One vectorized kernel, per_row_costs, evaluates that sum
 for every row pair of two row-sorted (k, n) and (k, m) arrays at once, as
 the sliced estimator needs for its k projections; wasserstein_1d_q is its
-one-row case, on two 1-D arrays or one-column EmpiricalMeasures, each
-sorted into one row; there is no separate sorted-measure type. Functions
-return the q-th power W_q^q; callers that report distances take the root
-at the boundary.
+one-row case, on two 1-D arrays or one-column EmpiricalMeasures. One rule,
+_sorted_side, sorts every side for both, with its weights; there is no
+sorted-measure type. Functions return the q-th power W_q^q; callers that
+report distances take the root at the boundary.
 """
 
 from __future__ import annotations
@@ -62,12 +62,39 @@ def per_row_costs(rows_a, weights_a, rows_b, weights_b, q: float) -> np.ndarray:
     return np.sum(gaps, axis=1)
 
 
+def _sort_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row sorted ascending, with its stable argsort.
+
+    A row of distinct values has one sorting permutation, which the faster
+    unstable sort finds; rows with ties (or NaNs, which sort last) are
+    re-sorted stably, so the order always equals the stable one.
+    """
+    order = np.argsort(x, axis=1)
+    rows = np.take_along_axis(x, order, axis=1)
+    redo = (rows[:, 1:] == rows[:, :-1]).any(axis=1) | np.isnan(rows[:, -1])
+    if redo.any():
+        order[redo] = np.argsort(x[redo], axis=1, kind="stable")
+    return rows, order
+
+
+def _sorted_side(rows: np.ndarray, measure: EmpiricalMeasure) -> tuple:
+    """A side's (k, n) rows sorted ascending, and its weights in row order or None.
+
+    The one rule for sorting a side: uniform rows (weights None) are sorted
+    in place, weighted rows by their stable argsort, permuting the weights.
+    """
+    if measure.is_uniform():
+        rows.sort(axis=1)
+        return rows, None
+    rows, order = _sort_rows(rows)
+    return rows, measure.weights[order]
+
+
 def _sorted_row(m) -> tuple[np.ndarray, np.ndarray | None]:
     """One side as a (1, n) ascending row with its weights, None when uniform.
 
     Arrays become uniform measures, so values and weights pass the one
-    EmpiricalMeasure validator; the sort is the stable argsort, and
-    non-uniform weights are permuted with it.
+    EmpiricalMeasure validator; the row is then sorted by _sorted_side.
     """
     if not isinstance(m, EmpiricalMeasure):
         values = np.asarray(m, dtype=float)
@@ -76,8 +103,7 @@ def _sorted_row(m) -> tuple[np.ndarray, np.ndarray | None]:
         m = EmpiricalMeasure(values[:, None])
     if m.dim != 1:
         raise ValueError(f"measure must be one-dimensional, got d={m.dim}")
-    order = np.argsort(m.points[:, 0], kind="stable")
-    return m.points[order, 0][None], None if m.is_uniform() else m.weights[order][None]
+    return _sorted_side(m.points.T.copy(), m)
 
 
 def wasserstein_1d_q(a, b, q: float = 2.0) -> float:

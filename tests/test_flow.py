@@ -126,6 +126,11 @@ class TestRunFlow:
         with pytest.raises(ValueError, match=r"delta_split must lie in \[0, 1\)"):
             FlowConfig(iterations=5, learning_rate=0.1, delta_split=delta_split)
 
+    def test_non_integer_seed_rejected(self):
+        # refused when the config is built, not at the first step's substream
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            FlowConfig(iterations=5, learning_rate=0.1, seed=1.5)
+
     def test_divergence_detection(self):
         src, tgt = cloud(10, 2, 12, shift=3.0), cloud(10, 2, 13)
         cfg = FlowConfig(iterations=200, learning_rate=1e6, k=8, sigma=0.0, seed=14, log_every=1)

@@ -210,6 +210,36 @@ class TestLoaderAgreesWithScan:
         assert np.array_equal(back, ms._scan_csv(p, False))
 
 
+# Edge files outside LOADER_CASES: (bytes, has_header, expected array or DataError message).
+EDGE_FILES = {
+    "lone_cr": (b"1,2\r3,4\r", False, [[1.0, 2.0], [3.0, 4.0]]),
+    "lone_cr_header": (b"x,y\r1,2\r3,4\r", True, [[1.0, 2.0], [3.0, 4.0]]),
+    "mixed_line_ends": (b"1,2\r\n3,4\n5,6\r7,8", False, [[1, 2], [3, 4], [5, 6], [7, 8]]),
+    "trailing_blank_lines": (b"1,2\n3,4\n\n\r\n\n", False, [[1.0, 2.0], [3.0, 4.0]]),
+    "arabic_indic_digits": ("\u0661,\u0662\n3,4\n".encode(), False, [[1.0, 2.0], [3.0, 4.0]]),
+    "bom_in_header": ("\ufeffx,y\n1,2\n".encode(), True, [[1.0, 2.0]]),
+    "bom": ("\ufeff1,2\n3,4\n".encode(), False,
+            "unparsable cell at line 1, column 1: '\\ufeff1'"),
+    "inf": (b"inf,-inf\n1,Infinity\n", False, "points contain NaN or Inf entries"),
+    "nul_in_cell": (b"1,2\n3,\x004\n", False, "unparsable cell at line 2, column 2: '\\x004'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FILES))
+def test_edge_file_parses_like_scan_or_names_its_fault(tmp_path, name):
+    data, has_header, expected = EDGE_FILES[name]
+    p = tmp_path / f"{name}.csv"
+    p.write_bytes(data)
+    if isinstance(expected, str):
+        with pytest.raises(ms.DataError) as exc_info:
+            ms.load_csv(p, has_header)
+        assert str(exc_info.value).endswith(expected)
+    else:
+        got = ms.load_csv(p, has_header).points
+        assert np.array_equal(got, ms._scan_csv(p, has_header))
+        assert got.tolist() == expected
+
+
 def _csv_writer_reference(path, header, rows):
     """How the rows were written before the shared formatter: one csv.writer row each."""
     with open(path, "w", newline="", encoding="utf-8") as fh:

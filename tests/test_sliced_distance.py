@@ -6,6 +6,7 @@ from scipy import integrate, special
 
 from dpswd import from_points, normalize_for_privacy
 from dpswd.measures import DataError, EmpiricalMeasure
+from dpswd import randomness
 from dpswd.randomness import sample_sphere
 from dpswd.sliced_distance import (
     SwdConfig,
@@ -150,6 +151,22 @@ class TestSwd:
         with pytest.raises(ValueError, match="k must be an integer"):
             SwdConfig(k=k)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": 1005.0}, "seed must be an integer, got 1005.0"),
+        ({"noise_seed": 2.5, "sigma": 1}, "noise_seed must be an integer, got 2.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+    ], ids=["float_seed", "float_noise_seed", "bool_seed"])
+    def test_config_rejects_non_integer_seed(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SwdConfig(**kwargs)
+
+    def test_config_takes_any_integer_seed_modulo_2_64(self):
+        a, b = gaussian_cloud(6, 3, 19), gaussian_cloud(5, 3, 20)
+        negative = SwdConfig(k=8, seed=np.int64(-1), noise_seed=-2, sigma=0.5)
+        wrapped = SwdConfig(k=8, seed=2**64 - 1, noise_seed=np.uint64(2**64 - 2), sigma=0.5)
+        assert np.array_equal(smoothed_swd(a, b, negative).per_projection,
+                              smoothed_swd(a, b, wrapped).per_projection)
+
     def test_sigma_nonzero_rejected(self):
         with pytest.raises(ValueError):
             swd(gaussian_cloud(3, 2, 0), gaussian_cloud(3, 2, 1), SwdConfig(sigma=1.0))
@@ -215,6 +232,38 @@ def test_sort_rows_order_is_the_stable_argsort():
     expected = np.argsort(x, axis=1, kind="stable")
     assert np.array_equal(order, expected)
     assert np.array_equal(rows, np.take_along_axis(x, expected, axis=1), equal_nan=True)
+
+
+class TestWeightedSideReference:
+    """smoothed_swd with a weighted side, against the release rebuilt by hand."""
+
+    @staticmethod
+    def reference(a, b, cfg) -> np.ndarray:
+        directions = sample_sphere(a.dim, cfg.k, cfg.seed)
+        sides = []
+        for m, purpose in ((a, randomness.PURPOSE_NOISE_SOURCE),
+                           (b, randomness.PURPOSE_NOISE_TARGET)):
+            proj = directions.T @ m.points.T
+            if cfg.sigma > 0:
+                proj = proj + randomness.sample_gaussian_matrix(cfg.k, m.n, cfg.sigma,
+                                                                cfg.seed, purpose)
+            order = np.argsort(proj, axis=1, kind="stable")
+            sides += [np.take_along_axis(proj, order, axis=1),
+                      None if m.is_uniform() else m.weights[order]]
+        return per_row_costs(*sides, cfg.q)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.8])
+    @pytest.mark.parametrize("weighted_first", [True, False])
+    def test_matches_stable_argsort_reference(self, sigma, weighted_first):
+        rng = np.random.default_rng(21)
+        pts = rng.standard_normal((12, 4))
+        pts[6:9] = pts[:3]  # duplicated rows tie in every projection
+        weighted = from_points(pts, rng.uniform(0.1, 2.0, 12))
+        uniform = gaussian_cloud(9, 4, 22)
+        a, b = (weighted, uniform) if weighted_first else (uniform, weighted)
+        cfg = SwdConfig(k=64, q=1.5, seed=23, sigma=sigma)
+        got = smoothed_swd(a, b, cfg).per_projection
+        assert np.array_equal(got, self.reference(a, b, cfg))
 
 
 class TestDpSwd:
