@@ -6,7 +6,7 @@ Renyi-DP accountant with noise calibration, and a particle-flow demo that
 trains against a private target.
 """
 
-__version__ = "0.16.1"
+__version__ = "0.17.0"
 
 from .accountant import (
     CalibrationResult,

@@ -2,11 +2,12 @@
 
 Every subcommand is a reproducible experiment: identical arguments and
 seed produce identical output (the manifest's duration field is the only
-exception). JSON goes to stdout with sorted keys; bulk data goes to CSV
-files under --out. The manifest's params are the parsed arguments, except
---seed (the manifest's own seed field). The choices of --bound come from
-the library's registry; --amplification none charges the schedule at
-sampling rate 1.
+exception). Each cmd_* returns its result as a dict; main adds the
+manifest and prints the one JSON object to stdout with sorted keys. Bulk
+data goes to CSV files under --out. The manifest's params are the parsed
+arguments, except --seed (the manifest's own seed field). The choices of
+--bound come from the library's registry; --amplification none charges
+the schedule at sampling rate 1.
 """
 
 from __future__ import annotations
@@ -144,8 +145,7 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def cmd_compute(args) -> int:
-    started = time.perf_counter()
+def cmd_compute(args) -> dict:
     cfg = SwdConfig(k=args.k, q=args.q, seed=args.seed, sigma=args.sigma)
     load = _input_loader(args)
     a, b = load(args.a), load(args.b)
@@ -155,20 +155,15 @@ def cmd_compute(args) -> int:
         result = swd(a, b, cfg)
     if not math.isfinite(result.value):
         raise DataError(f"the distance is not finite ({result.value}): float64 overflow")
-    _emit(
-        {
-            "value": result.value,
-            "distance": result.distance,
-            "per_projection": [float(v) for v in result.per_projection],
-            "config": {"k": cfg.k, "q": cfg.q, "sigma": cfg.sigma, "seed": cfg.seed},
-            "manifest": _manifest(args, started),
-        }
-    )
-    return EXIT_OK
+    return {
+        "value": result.value,
+        "distance": result.distance,
+        "per_projection": [float(v) for v in result.per_projection],
+        "config": {"k": cfg.k, "q": cfg.q, "sigma": cfg.sigma, "seed": cfg.seed},
+    }
 
 
-def cmd_sensitivity(args) -> int:
-    started = time.perf_counter()
+def cmd_sensitivity(args) -> dict:
     check_delta(args.delta)
     _require_counts(args, "d", "k", "trials")
     out = _output_dir(args.out)
@@ -177,18 +172,12 @@ def cmd_sensitivity(args) -> int:
     *levels, requested = summary["levels"]
     write_csv_rows(out / "sensitivity_samples.csv", enumerate(samples.tolist()),
                    header=["trial", "h"])
-    payload = {
+    return {
         "empirical_mean": summary["empirical_mean"],
         "expected_mean": summary["expected_mean"],
         "requested": requested,
         "levels": levels,
-        "manifest": _manifest(args, started),
     }
-    with open(out / "sensitivity_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _emit(payload)
-    return EXIT_OK
 
 
 def _toy_sweep(args, grid: list[float], cfg: SwdConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -209,8 +198,7 @@ def _toy_sweep(args, grid: list[float], cfg: SwdConfig) -> tuple[np.ndarray, np.
     return values_plain, values_noised
 
 
-def cmd_toy(args) -> int:
-    started = time.perf_counter()
+def cmd_toy(args) -> dict:
     _require_counts(args, "n", "d", "repeats")
     grid = _parse_grid(args.grid)
     cfg = SwdConfig(k=args.k, q=2.0, seed=args.seed, sigma=args.sigma)
@@ -234,12 +222,10 @@ def cmd_toy(args) -> int:
     if out:
         columns = ["c", "swd_mean", "swd_std", "dpswd_mean", "dpswd_std"]
         write_csv_rows(out / "toy.csv", ([row[k] for k in columns] for row in rows), header=columns)
-    _emit({"rows": rows, "manifest": _manifest(args, started)})
-    return EXIT_OK
+    return {"rows": rows}
 
 
-def cmd_calibrate(args) -> int:
-    started = time.perf_counter()
+def cmd_calibrate(args) -> dict:
     _require_counts(args, "n", "epochs", "batch")
     steps = args.epochs * (args.n // args.batch)
     if steps < 1:
@@ -253,21 +239,17 @@ def cmd_calibrate(args) -> int:
         delta_split=args.delta_split,
     )
     result = calibrate_sigma(budget, budget.tail_bound(args.bound, args.k, args.dim))
-    _emit(
-        {
-            "sigma": result.sigma,
-            "eps_achieved": result.eps_achieved,
-            "best_order": result.best_order,
-            "w": result.sensitivity.w,
-            "bound_kind": result.sensitivity.kind,
-            "steps": steps,
-            "gamma": gamma,
-            "delta_split": args.delta_split,
-            "amplification": args.amplification,
-            "manifest": _manifest(args, started),
-        }
-    )
-    return EXIT_OK
+    return {
+        "sigma": result.sigma,
+        "eps_achieved": result.eps_achieved,
+        "best_order": result.best_order,
+        "w": result.sensitivity.w,
+        "bound_kind": result.sensitivity.kind,
+        "steps": steps,
+        "gamma": gamma,
+        "delta_split": args.delta_split,
+        "amplification": args.amplification,
+    }
 
 
 def _write_trace(out: Path, trace) -> None:
@@ -278,8 +260,7 @@ def _write_trace(out: Path, trace) -> None:
     )
 
 
-def cmd_flow(args) -> int:
-    started = time.perf_counter()
+def cmd_flow(args) -> dict:
     cfg = FlowConfig(
         iterations=args.iters,
         learning_rate=args.lr,
@@ -302,19 +283,15 @@ def cmd_flow(args) -> int:
         raise
     _write_trace(out, trace)
     save_csv(EmpiricalMeasure(trace.final_points), out / "particles.csv")
-    _emit(
-        {
-            "final_loss": float(trace.losses[-1]),
-            "final_grad_norm": float(trace.grad_norms[-1]),
-            "logged_steps": int(trace.iterations.size),
-            "eps": trace.eps,
-            "delta": trace.delta,
-            "best_order": trace.best_order,
-            "sensitivity_w": trace.sensitivity.w if trace.sensitivity else None,
-            "manifest": _manifest(args, started),
-        }
-    )
-    return EXIT_OK
+    return {
+        "final_loss": float(trace.losses[-1]),
+        "final_grad_norm": float(trace.grad_norms[-1]),
+        "logged_steps": int(trace.iterations.size),
+        "eps": trace.eps,
+        "delta": trace.delta,
+        "best_order": trace.best_order,
+        "sensitivity_w": trace.sensitivity.w if trace.sensitivity else None,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,7 +373,10 @@ def main(argv=None) -> int:
     # source location it was raised at
     with warnings.catch_warnings(record=True) as caught:
         try:
-            code = args.func(args)
+            started = time.perf_counter()
+            payload = args.func(args)
+            _emit({**payload, "manifest": _manifest(args, started)})
+            code = EXIT_OK
         except tuple(exc_type for exc_type, _ in _EXIT_CODES) as exc:
             error = exc
             code = next(exit_code for exc_type, exit_code in _EXIT_CODES

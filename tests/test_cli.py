@@ -224,8 +224,6 @@ class TestSensitivityCmd:
         assert payload["requested"]["bernstein"] == pytest.approx(8.0526, abs=1e-3)
         assert payload["requested"]["clt"] == pytest.approx(0.3637, abs=1e-3)
         assert payload["empirical_mean"] == pytest.approx(200 / 784, abs=0.01)
-        on_disk = json.loads((out / "sensitivity_summary.json").read_text())
-        assert on_disk == payload
         lines = (out / "sensitivity_samples.csv").read_text().splitlines()
         assert lines[0] == "trial,h"
         assert len(lines) == 2001
@@ -706,6 +704,18 @@ class TestOutputDirectory:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: [Errno 17] File exists: {str(taken)!r}\n"
+
+    @SUBCOMMAND_RUNS
+    def test_out_holds_the_files_the_readme_lists(self, data_dir, tmp_path, monkeypatch,
+                                                  capsys, argv_fn):
+        # run from inside tmp_path, so a file written to the working directory shows too
+        listed = {"sensitivity": {"s/sensitivity_samples.csv"},
+                  "flow": {"f/trace.csv", "f/particles.csv"}}
+        argv = argv_fn(data_dir, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        written = {f.relative_to(tmp_path).as_posix() for f in tmp_path.rglob("*") if f.is_file()}
+        assert written == listed.get(argv[0], set())
 
     @pytest.mark.parametrize("argv", [
         ["sensitivity", "--d", "20", "--k", "5", "--trials", "0"],
