@@ -6,7 +6,7 @@ Renyi-DP accountant with noise calibration, and a particle-flow demo that
 trains against a private target.
 """
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 from .accountant import (
     CalibrationResult,
@@ -15,6 +15,7 @@ from .accountant import (
     ORDERS,
     PrivacyBudget,
     RdpCurve,
+    Schedule,
     account,
     calibrate_sigma,
     compose,
@@ -76,6 +77,7 @@ __all__ = [
     "ORDERS",
     "PrivacyBudget",
     "RdpCurve",
+    "Schedule",
     "Seed",
     "SensitivityBound",
     "SwdConfig",

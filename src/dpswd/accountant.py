@@ -22,7 +22,7 @@ It is an integer-order binomial expansion over the base curve's integer
 values eps(j) = j w / (2 sigma^2), evaluated for all the integer orders a
 grid needs at once, as one masked (orders x j) array of log-domain terms
 reduced by a row-wise log-sum-exp. It is capped by the unamplified curve
-(subsampling never hurts), is that curve exactly at g = 1, so a budget
+(subsampling never hurts), is that curve exactly at g = 1, so a schedule
 with sampling_rate 1 is charged without amplification, and evaluates
 non-integer orders at the next larger integer (valid since Renyi
 divergence is nondecreasing in the order).
@@ -37,10 +37,10 @@ computes only the sigma-dependent coefficients and the log-sum-exp.
 Random directions and the sensitivity tail. A "bernstein" or "clt" bound
 w(k, d, p) on the squared sensitivity holds with probability >= 1 - p over
 one draw of the k directions U; given a U on which it holds, one step is a
-Gaussian mechanism with squared sensitivity w. The budget gives the tail
+Gaussian mechanism with squared sensitivity w. A Schedule gives the tail
 delta_s = delta_split * delta and the conversion delta_c = delta - delta_s.
 Each of the T steps draws its own U_t, so there are T tail events:
-PrivacyBudget.tail_bound builds the per-draw bound w(k, d, delta_s / T),
+Schedule.tail_bound builds the per-draw bound w(k, d, delta_s / T),
 and account charges the bound it is given at every step. When each draw
 exceeds its bound with probability <= p <= delta_s / T, the union bound
 keeps all T draws within it except with probability <= T p <= delta_s. On
@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sensitivity import TAIL_BOUNDS, SensitivityBound, _check_count, check_bound_kind
+from .sensitivity import TAIL_BOUNDS, SensitivityBound, _check_count, check_bound_kind, check_delta
 
 # The order grid of every account: quarter steps {1.25, 1.5, ..., 64}, then 128 and 256.
 ORDERS = np.concatenate([np.arange(1.25, 64.125, 0.25), [128.0, 256.0]])
@@ -105,20 +105,17 @@ class RdpCurve:
 
 
 @dataclass(frozen=True)
-class PrivacyBudget:
-    """Target (eps, delta) plus the training schedule it must cover."""
+class Schedule:
+    """The releases an account charges: steps at a sampling rate, and the
+    delta they may spend, split between the sensitivity tail and the conversion."""
 
-    eps_target: float
     delta_target: float
     steps: int = 1
     sampling_rate: float = 1.0
     delta_split: float = 0.5
 
     def __post_init__(self):
-        if not 0 < self.eps_target < math.inf:
-            raise ValueError(f"eps_target must be finite and positive, got {self.eps_target}")
-        if not 0.0 < self.delta_target < 1.0:
-            raise ValueError(f"delta_target must lie in (0, 1), got {self.delta_target}")
+        check_delta(self.delta_target)
         _check_count("steps", self.steps, 1)
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ValueError(f"sampling_rate must lie in (0, 1], got {self.sampling_rate}")
@@ -141,6 +138,18 @@ class PrivacyBudget:
         check_bound_kind(kind)
         check_delta_share(kind, self.delta_split)
         return TAIL_BOUNDS[kind](k, d, self.delta_sensitivity / self.steps)
+
+
+@dataclass(frozen=True, kw_only=True)
+class PrivacyBudget(Schedule):
+    """A schedule plus the target eps it must meet."""
+
+    eps_target: float
+
+    def __post_init__(self):
+        if not 0 < self.eps_target < math.inf:
+            raise ValueError(f"eps_target must be finite and positive, got {self.eps_target}")
+        super().__post_init__()
 
 
 def check_delta_share(kind: str, delta_split: float) -> None:
@@ -236,18 +245,17 @@ def compose(curve: RdpCurve, steps: int) -> RdpCurve:
 def rdp_to_dp(curve: RdpCurve, delta: float) -> tuple[float, float]:
     """Convert an RDP curve to (eps, delta)-DP: the grid minimum of
     eps(alpha) + ln(1/delta)/(alpha - 1); returns (eps, minimizing order)."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    check_delta(delta)
     totals = curve.eps_at_order + math.log(1.0 / delta) / (curve.orders - 1.0)
     best = int(np.argmin(totals))
     return float(totals[best]), float(curve.orders[best])
 
 
-def account(sigma: float, budget: PrivacyBudget, sensitivity: SensitivityBound) -> tuple[float, float]:
-    """End-to-end eps achieved by sigma under the budget's schedule.
+def account(sigma: float, budget: Schedule, sensitivity: SensitivityBound) -> tuple[float, float]:
+    """End-to-end eps achieved by sigma under a schedule (a PrivacyBudget is one).
 
     Charges the given bound at every step, assembles subsampled RDP at the
-    budget's sampling rate (1 for no amplification), composes over its
+    schedule's sampling rate (1 for no amplification), composes over its
     steps, and converts at delta_conversion. Returns (eps, best order).
     Raises ValueError for a probabilistic bound whose delta exceeds the
     per-draw share delta_sensitivity / steps (see the module docstring).
@@ -266,7 +274,8 @@ def account(sigma: float, budget: PrivacyBudget, sensitivity: SensitivityBound) 
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Calibrated sigma; sensitivity is the per-draw bound that was charged."""
+    """A noise level, the eps it achieves under a schedule and the order attaining
+    it; sensitivity is the per-draw bound that was charged."""
 
     sigma: float
     eps_achieved: float

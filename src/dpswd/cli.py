@@ -28,7 +28,7 @@ from . import __version__
 from .accountant import InfeasibleBudgetError, PrivacyBudget, calibrate_sigma
 from .flow import FlowConfig, FlowDiverged, run_flow
 from .measures import DataError, load_csv, normalize_for_privacy, save_csv, write_csv_rows
-from .measures import EmpiricalMeasure
+from .measures import MAX_CLIP, EmpiricalMeasure
 from .randomness import PURPOSE_DATA, derive_seed, substream
 from .sensitivity import SUMMARY_DELTAS, TAIL_BOUNDS, check_delta, simulate_sensitivity, summarize_simulation
 from .sliced_distance import SwdConfig, dp_swd, smoothed_swd, swd
@@ -46,6 +46,7 @@ _EXIT_CODES = (
     (InfeasibleBudgetError, EXIT_INFEASIBLE),
     (DataError, EXIT_DATA),
     (OSError, EXIT_DATA),
+    (MemoryError, EXIT_DATA),
     (argparse.ArgumentTypeError, EXIT_USAGE),
     (ValueError, EXIT_USAGE),
 )
@@ -92,8 +93,9 @@ def _parse_normalize(text: str) -> tuple[str, float | None]:
             radius = float(text.split(":", 1)[1])
         except ValueError:
             radius = math.nan
-        if not 0 < radius < math.inf:
-            raise argparse.ArgumentTypeError(f"bad clip radius in {text!r}: C must be finite and > 0")
+        if not 0 < radius <= MAX_CLIP:
+            raise argparse.ArgumentTypeError(f"bad clip radius in {text!r}: C must be finite and > 0, "
+                                             "with 2C finite")
         return "clip", radius
     raise argparse.ArgumentTypeError(f"normalize must be 'max' or 'clip:C', got {text!r}")
 
@@ -283,14 +285,15 @@ def cmd_flow(args) -> dict:
         raise
     _write_trace(out, trace)
     save_csv(EmpiricalMeasure(trace.final_points), out / "particles.csv")
+    privacy = trace.privacy
     return {
         "final_loss": float(trace.losses[-1]),
         "final_grad_norm": float(trace.grad_norms[-1]),
         "logged_steps": int(trace.iterations.size),
-        "eps": trace.eps,
-        "delta": trace.delta,
-        "best_order": trace.best_order,
-        "sensitivity_w": trace.sensitivity.w if trace.sensitivity else None,
+        "eps": privacy.eps_achieved if privacy else None,
+        "delta": cfg.delta if privacy else None,
+        "best_order": privacy.best_order if privacy else None,
+        "sensitivity_w": privacy.sensitivity.w if privacy else None,
     }
 
 
@@ -383,8 +386,8 @@ def main(argv=None) -> int:
                         if isinstance(exc, exc_type))
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
+    if error is not None:  # a bare MemoryError has no message: name the type
+        print(f"error: {str(error) or type(error).__name__}", file=sys.stderr)
     return code
 
 

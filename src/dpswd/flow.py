@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accountant import PrivacyBudget, account, check_delta_share
+from .accountant import CalibrationResult, Schedule, account, check_delta_share
 from .measures import DataError, EmpiricalMeasure, check_privacy_normalized
 from .randomness import PURPOSE_DATA, Seed, derive_seed, substream
-from .sensitivity import SensitivityBound, _check_count, check_bound_kind, check_delta
+from .sensitivity import _check_count, check_bound_kind
 from .sliced_distance import SwdConfig, value_and_gradient
 
 DIVERGENCE_LIMIT = 1e6
@@ -59,9 +59,7 @@ class FlowConfig:
         SwdConfig(k=self.k, sigma=self.sigma, seed=self.seed)  # refuses k, sigma or seed
         if self.batch_size is not None:
             _check_count("batch_size", self.batch_size, 1)
-        check_delta(self.delta)
-        if not 0.0 <= self.delta_split < 1.0:
-            raise ValueError(f"delta_split must lie in [0, 1), got {self.delta_split}")
+        Schedule(self.delta, self.iterations, delta_split=self.delta_split)  # refuses delta, split
         check_bound_kind(self.bound_kind)
         if self.sigma > 0:
             check_delta_share(self.bound_kind, self.delta_split)
@@ -79,27 +77,7 @@ class FlowTrace:
     losses: np.ndarray
     grad_norms: np.ndarray
     final_points: np.ndarray = field(repr=False)
-    eps: float | None = None
-    delta: float | None = None
-    best_order: float | None = None
-    sensitivity: SensitivityBound | None = None  # the per-draw bound charged
-
-
-def _privacy_report(target: EmpiricalMeasure, cfg: FlowConfig) -> tuple:
-    """(eps, delta, order, per-draw bound charged) for the full schedule, or Nones when sigma=0."""
-    if cfg.sigma <= 0:
-        return None, None, None, None
-    gamma = 1.0 if cfg.batch_size is None else cfg.batch_size / target.n
-    budget = PrivacyBudget(
-        eps_target=1.0,  # placeholder; only the schedule fields matter here
-        delta_target=cfg.delta,
-        steps=cfg.iterations,
-        sampling_rate=gamma,
-        delta_split=cfg.delta_split,
-    )
-    bound = budget.tail_bound(cfg.bound_kind, cfg.k, target.dim)
-    eps, order = account(cfg.sigma, budget, bound)
-    return eps, cfg.delta, order, bound
+    privacy: CalibrationResult | None = None  # the whole schedule's account; None at sigma = 0
 
 
 def _step_target(target: EmpiricalMeasure, cfg: FlowConfig, step: int) -> EmpiricalMeasure:
@@ -141,10 +119,13 @@ def run_flow(
             raise DataError(f"batch_size must lie in [1, {target_private.n}]")
         if cfg.batch_size != source_init.n:
             raise DataError("batch_size must equal the source particle count")
+    privacy = None
     if cfg.sigma > 0:
         check_privacy_normalized(target_private)
-
-    eps, delta, order, bound = _privacy_report(target_private, cfg)
+        gamma = 1.0 if cfg.batch_size is None else cfg.batch_size / target_private.n
+        schedule = Schedule(cfg.delta, cfg.iterations, gamma, cfg.delta_split)
+        bound = schedule.tail_bound(cfg.bound_kind, cfg.k, target_private.dim)
+        privacy = CalibrationResult(cfg.sigma, *account(cfg.sigma, schedule, bound), bound)
 
     points = source_init.points  # read-only; every step makes a new array
     iters, losses, gnorms = [], [], []
@@ -155,8 +136,7 @@ def run_flow(
         gnorms.append(gnorm)
 
     def trace() -> FlowTrace:
-        return FlowTrace(np.array(iters), np.array(losses), np.array(gnorms), points,
-                         eps, delta, order, bound)
+        return FlowTrace(np.array(iters), np.array(losses), np.array(gnorms), points, privacy)
 
     for step in range(cfg.iterations):
         step_seed = derive_seed(cfg.seed, step)

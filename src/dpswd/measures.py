@@ -10,7 +10,6 @@ bounds.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,6 +17,7 @@ import numpy as np
 
 _UNIFORM_TOL = 1e-12  # is_uniform: largest |weight - 1/n| still taken as uniform
 _NORM_TOL = 1e-9  # check_privacy_normalized: slack above the row-norm cap 1/2
+MAX_CLIP = float(np.finfo(np.float64).max) / 2  # normalize_for_privacy: the largest C whose 2C is finite
 
 
 class DataError(ValueError):
@@ -192,8 +192,8 @@ def normalize_for_privacy(
             raise DataError("all rows are zero; max-norm scale undefined")
         out = pts / (2.0 * top)
     elif mode == "clip":
-        if clip is None or not 0 < clip < math.inf:
-            raise DataError(f"clip mode needs a finite positive radius C, got {clip}")
+        if clip is None or not 0 < clip <= MAX_CLIP:
+            raise DataError(f"clip mode needs a finite positive radius C with 2C finite, got {clip}")
         norms = np.linalg.norm(pts, axis=1)
         factor = np.minimum(1.0, clip / np.maximum(norms, 1e-300))
         out = pts * factor[:, None]

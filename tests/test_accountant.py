@@ -662,3 +662,45 @@ class TestBudgetType:
             acc.PrivacyBudget(eps_target=1.0, delta_target=1e-5, delta_split=1.0)
         with pytest.raises(ValueError, match="steps must be an integer"):
             acc.PrivacyBudget(eps_target=1.0, delta_target=1e-5, steps=2.5)
+
+
+class TestSchedule:
+    def test_budget_is_a_schedule_plus_eps_target(self):
+        budget = acc.PrivacyBudget(eps_target=1.0, delta_target=1e-5)
+        assert isinstance(budget, acc.Schedule)
+        schedule_fields = ["delta_target", "steps", "sampling_rate", "delta_split"]
+        assert [f.name for f in dataclasses.fields(acc.Schedule)] == schedule_fields
+        assert [f.name for f in dataclasses.fields(acc.PrivacyBudget)] == [*schedule_fields, "eps_target"]
+        with pytest.raises(TypeError):
+            acc.PrivacyBudget(1.0, 1e-5)  # eps_target is keyword-only
+
+    @pytest.mark.parametrize("eps_target", [0.5, 40.0])
+    def test_account_is_bit_equal_on_schedule_and_budget(self, eps_target):
+        fields = dict(delta_target=1e-5, steps=600, sampling_rate=0.02, delta_split=0.3)
+        schedule = acc.Schedule(**fields)
+        budget = acc.PrivacyBudget(eps_target=eps_target, **fields)
+        bound = schedule.tail_bound("bernstein", 200, 784)
+        assert budget.tail_bound("bernstein", 200, 784) == bound
+        eps, order = acc.account(0.9, schedule, bound)
+        budget_eps, budget_order = acc.account(0.9, budget, bound)
+        assert (eps.hex(), order) == (budget_eps.hex(), budget_order)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(delta_target=5.0), r"delta must lie in \(0, 1\), got 5.0"),
+        (dict(delta_target=1e-5, delta_split=1.0), r"delta_split must lie in \[0, 1\), got 1.0"),
+        (dict(delta_target=1e-5, sampling_rate=0.0), r"sampling_rate must lie in \(0, 1\], got 0.0"),
+        (dict(delta_target=1e-5, steps=0), "steps must be >= 1, got 0"),
+    ], ids=["delta", "delta-split", "sampling-rate", "steps"])
+    def test_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            acc.Schedule(**kwargs)
+        with pytest.raises(ValueError, match=message):
+            acc.PrivacyBudget(eps_target=1.0, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [dict(delta=5.0), dict(delta_split=1.0)], ids=["delta", "delta-split"])
+    def test_flow_config_refuses_with_the_schedule_message(self, kwargs):
+        with pytest.raises(ValueError) as flow_error:
+            FlowConfig(iterations=5, learning_rate=0.1, **kwargs)
+        with pytest.raises(ValueError) as schedule_error:
+            acc.Schedule(kwargs.get("delta", 1e-5), 5, delta_split=kwargs.get("delta_split", 0.5))
+        assert str(flow_error.value) == str(schedule_error.value)

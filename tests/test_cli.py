@@ -14,7 +14,7 @@ import pytest
 from jsonschema import Draft7Validator
 
 import dpswd
-from dpswd import cli
+from dpswd import cli, sliced_distance
 from dpswd.cli import GRID_MAX_POINTS, _parse_grid, build_parser
 
 SCHEMA_DIR = Path(dpswd.__file__).parent / "schemas"
@@ -204,6 +204,15 @@ class TestPrivateInputs:
         assert r.returncode == 2
         assert r.stdout == ""
         assert "C must be finite and > 0" in r.stderr
+
+    def test_clip_radius_whose_double_overflows_is_usage_error(self, data_dir, tmp_path, subcommand):
+        # 2C = inf would scale every row to 0, leaving a noise-only release
+        argv = private_input_argv(subcommand, str(data_dir / "src2d.csv"),
+                                  str(data_dir / "tgt2d.csv"), tmp_path)
+        r = run_cli(*argv, "--sigma", "0.5", "--normalize", "clip:1e308")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: bad clip radius in 'clip:1e308': C must be finite and > 0, with 2C finite\n"
 
     def test_dimension_mismatch_is_data_error(self, data_dir, tmp_path, subcommand):
         argv = private_input_argv(subcommand, str(data_dir / "a.csv"),
@@ -744,6 +753,25 @@ class TestOutputDirectory:
         assert capsys.readouterr().err == (
             "error: a bernstein bound needs a share of delta: delta_split must be > 0\n")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 2.91 TiB for an array with shape (100000000000, 4)"),
+     "Unable to allocate 2.91 TiB for an array with shape (100000000000, 4)"),
+    (MemoryError(), "MemoryError"),
+], ids=["numpy-message", "bare"])
+def test_memory_error_is_data_error_without_traceback(data_dir, monkeypatch, capsys, error, message):
+    # the allocation is never attempted: the direction draw raises in its place
+    def out_of_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(sliced_distance, "sample_sphere", out_of_memory)
+    argv = ["compute", "--a", str(data_dir / "a.csv"), "--b", str(data_dir / "b.csv"), "--k", "8"]
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv_fn", [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from dpswd import from_points, normalize_for_privacy
-from dpswd.accountant import PrivacyBudget, account
-from dpswd.flow import FlowConfig, FlowDiverged, run_flow
+from dpswd.accountant import CalibrationResult, PrivacyBudget, Schedule, account
+from dpswd.flow import FlowConfig, FlowDiverged, FlowTrace, run_flow
 from dpswd.measures import DataError, EmpiricalMeasure
 from dpswd.sensitivity import bernstein_bound
 from dpswd import sliced_distance as sd
@@ -71,7 +72,7 @@ class TestRunFlow:
         trace = run_flow(src, tgt, cfg)
         assert list(trace.iterations) == [0, 10, 20, 24]
         assert (trace.losses >= 0).all()
-        assert trace.eps is None and trace.delta is None
+        assert trace.privacy is None
 
     def test_privacy_preconditions(self):
         src = cloud(10, 2, 9, shift=1.0)
@@ -162,9 +163,23 @@ class TestRunFlow:
         )
         bound = budget.tail_bound("bernstein", 16, 3)
         eps, order = account(1.5, budget, bound)
-        assert trace.eps == eps
-        assert trace.best_order == order
-        assert trace.sensitivity == bound == bernstein_bound(16, 3, budget.delta_sensitivity / 25)
+        assert trace.privacy.eps_achieved == eps
+        assert trace.privacy.best_order == order
+        assert trace.privacy.sensitivity == bound == bernstein_bound(16, 3, budget.delta_sensitivity / 25)
+
+    def test_privacy_record_is_the_schedules_account(self):
+        src = normalize_for_privacy(cloud(16, 3, 24, shift=1.0))
+        tgt = normalize_for_privacy(cloud(48, 3, 25))
+        cfg = FlowConfig(
+            iterations=6, learning_rate=0.1, k=12, sigma=1.2, seed=26, batch_size=16,
+            delta=1e-4, delta_split=0.3,
+        )
+        trace = run_flow(src, tgt, cfg)
+        schedule = Schedule(1e-4, 6, 16 / 48, 0.3)
+        bound = schedule.tail_bound("bernstein", 12, 3)
+        assert trace.privacy == CalibrationResult(1.2, *account(1.2, schedule, bound), bound)
+        assert [f.name for f in dataclasses.fields(FlowTrace)] == [
+            "iterations", "losses", "grad_norms", "final_points", "privacy"]
 
     def test_minibatch_target(self):
         src = normalize_for_privacy(cloud(16, 2, 21, shift=1.0))
@@ -179,7 +194,7 @@ class TestRunFlow:
         )
         bound = budget.tail_bound("bernstein", 8, 2)
         eps, _ = account(1.0, budget, bound)
-        assert trace.eps == pytest.approx(eps, abs=0)
+        assert trace.privacy.eps_achieved == pytest.approx(eps, abs=0)
 
     def test_each_step_draws_fresh_directions_and_noise(self, monkeypatch):
         # reused noise would cancel in the difference of two mini-batch releases

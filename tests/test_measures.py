@@ -316,6 +316,15 @@ class TestNormalizeForPrivacy:
             with pytest.raises(ms.DataError, match="finite positive radius"):
                 ms.normalize_for_privacy(m, mode="clip", clip=radius)
 
+    def test_clip_whose_double_overflows_rejected(self):
+        # 2C = inf would scale every row to 0
+        m = ms.from_points([[1.0]])
+        for radius in (1e308, np.nextafter(ms.MAX_CLIP, np.inf)):
+            with pytest.raises(ms.DataError, match="with 2C finite"):
+                ms.normalize_for_privacy(m, mode="clip", clip=radius)
+        out = ms.normalize_for_privacy(m, mode="clip", clip=ms.MAX_CLIP)
+        assert out.points[0, 0] == 0.5 / ms.MAX_CLIP > 0
+
     def test_check_guard(self):
         good = ms.from_points([[0.3, 0.4]])
         ms.check_privacy_normalized(good)
