@@ -265,7 +265,7 @@ def account(sigma: float, budget: Schedule, sensitivity: SensitivityBound) -> tu
         raise ValueError(
             f"{sensitivity.kind} bound at delta={sensitivity.delta:g} exceeds the per-draw "
             f"sensitivity share {share:g} (delta_split={budget.delta_split:g}, "
-            f"steps={budget.steps}): build it with PrivacyBudget.tail_bound"
+            f"steps={budget.steps}): build it with Schedule.tail_bound"
         )
     spec = MechanismSpec(sigma=sigma, sensitivity_sq=sensitivity.w)
     curve = subsampled_rdp(spec, budget.sampling_rate)

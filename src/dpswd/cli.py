@@ -13,6 +13,7 @@ the schedule at sampling rate 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -30,7 +31,7 @@ from .flow import FlowConfig, FlowDiverged, run_flow
 from .measures import DataError, load_csv, normalize_for_privacy, save_csv, write_csv_rows
 from .measures import MAX_CLIP, EmpiricalMeasure
 from .randomness import PURPOSE_DATA, derive_seed, substream
-from .sensitivity import SUMMARY_DELTAS, TAIL_BOUNDS, check_delta, simulate_sensitivity, summarize_simulation
+from .sensitivity import TAIL_BOUNDS, _check_count, check_delta, simulate_sensitivity, summarize_simulation
 from .sliced_distance import SwdConfig, dp_swd, smoothed_swd, swd
 
 EXIT_OK = 0
@@ -117,9 +118,7 @@ def _input_loader(args) -> Callable[[str], EmpiricalMeasure]:
 def _require_counts(args, *names) -> None:
     """Refuse a count option below 1 as a usage error."""
     for name in names:
-        value = getattr(args, name)
-        if value < 1:
-            raise ValueError(f"--{name} must be >= 1, got {value}")
+        _check_count(f"--{name}", getattr(args, name), 1)
 
 
 def _output_dir(path: str) -> Path:
@@ -170,16 +169,9 @@ def cmd_sensitivity(args) -> dict:
     _require_counts(args, "d", "k", "trials")
     out = _output_dir(args.out)
     samples = simulate_sensitivity(args.d, args.k, args.trials, args.seed)
-    summary = summarize_simulation(samples, args.k, args.d, deltas=(*SUMMARY_DELTAS, args.delta))
-    *levels, requested = summary["levels"]
     write_csv_rows(out / "sensitivity_samples.csv", enumerate(samples.tolist()),
                    header=["trial", "h"])
-    return {
-        "empirical_mean": summary["empirical_mean"],
-        "expected_mean": summary["expected_mean"],
-        "requested": requested,
-        "levels": levels,
-    }
+    return summarize_simulation(samples, args.k, args.d, args.delta)
 
 
 def _toy_sweep(args, grid: list[float], cfg: SwdConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -297,6 +289,7 @@ def cmd_flow(args) -> dict:
     }
 
 
+@functools.cache  # built by the first main call, then shared by every later one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpswd",

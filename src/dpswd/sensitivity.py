@@ -292,30 +292,18 @@ def simulate_sensitivity(d: int, k: int, trials: int, seed: Seed) -> np.ndarray:
     return out
 
 
-# The failure levels a simulation summary reports by default.
+# The failure levels every simulation summary reports besides the requested one.
 SUMMARY_DELTAS = (0.1, 0.05, 0.01)
 
 
-def summarize_simulation(
-    samples: np.ndarray, k: int, d: int, deltas: tuple[float, ...] = SUMMARY_DELTAS
-) -> dict:
-    """Summary statistics next to the analytic bounds, per failure level."""
+def summarize_simulation(samples: np.ndarray, k: int, d: int, delta: float) -> dict:
+    """What `dpswd sensitivity` prints: the samples' law next to the bounds, at delta and SUMMARY_DELTAS."""
     samples = np.asarray(samples, dtype=float)
-    quantiles = np.quantile(samples, [1.0 - delta for delta in deltas])
-    summary = {
-        "trials": int(samples.size),
-        "k": k,
-        "d": d,
-        "empirical_mean": float(samples.mean()),
-        "expected_mean": k / d,
-        "levels": [],
-    }
-    for delta, quantile in zip(deltas, quantiles):
-        level = {
-            "delta": delta,
-            "empirical_quantile": float(quantile),
-            # the analytic bounds assume d >= 2 (at d=1 the sum is exactly k)
-            **{kind: bound(k, d, delta).w if d >= 2 else None for kind, bound in TAIL_BOUNDS.items()},
-        }
-        summary["levels"].append(level)
-    return summary
+    deltas = (*SUMMARY_DELTAS, delta)
+    quantiles = np.quantile(samples, [1.0 - x for x in deltas])
+    # the analytic bounds assume d >= 2 (at d=1 the sum is exactly k)
+    *levels, requested = [{"delta": x, "empirical_quantile": float(quantile),
+                           **{kind: bound(k, d, x).w if d >= 2 else None for kind, bound in TAIL_BOUNDS.items()}}
+                          for x, quantile in zip(deltas, quantiles)]
+    return {"empirical_mean": float(samples.mean()), "expected_mean": k / d,
+            "requested": requested, "levels": levels}

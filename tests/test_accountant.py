@@ -595,9 +595,9 @@ class TestDirectionPolicy:
         # built at delta_s, a bound covers one draw, not the T the schedule makes
         budget = dataclasses.replace(self.budget, steps=steps)
         bound = make(100, 50, budget.delta_sensitivity)
-        with pytest.raises(ValueError, match=r"build it with PrivacyBudget\.tail_bound"):
+        with pytest.raises(ValueError, match=r"build it with Schedule\.tail_bound"):
             acc.account(1.5, budget, bound)
-        with pytest.raises(ValueError, match=r"build it with PrivacyBudget\.tail_bound"):
+        with pytest.raises(ValueError, match=r"build it with Schedule\.tail_bound"):
             acc.calibrate_sigma(budget, bound)
 
     @pytest.mark.parametrize("make", [bernstein_bound, clt_bound])

@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from jsonschema import Draft7Validator
+from jsonschema import Draft7Validator, ValidationError
 
 import dpswd
 from dpswd import cli, sliced_distance
 from dpswd.cli import GRID_MAX_POINTS, _parse_grid, build_parser
+from dpswd.sensitivity import simulate_sensitivity, summarize_simulation
 
 SCHEMA_DIR = Path(dpswd.__file__).parent / "schemas"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -254,6 +255,34 @@ class TestSensitivityCmd:
         assert r.returncode == 2
         assert "delta must lie in (0, 1)" in r.stderr
         assert not out.exists()
+
+    # d = 1 has null bounds, d = 3 takes the ratio branch; k >= 30 keeps clt silent
+    @pytest.mark.parametrize("d,k,trials,delta", [(1, 40, 50, 0.2), (3, 40, 500, 1e-3),
+                                                  (784, 200, 1000, 1e-5)])
+    def test_prints_the_library_summary(self, tmp_path, capsys, d, k, trials, delta):
+        argv = ["sensitivity", "--d", str(d), "--k", str(k), "--trials", str(trials),
+                "--delta", str(delta), "--seed", "4", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert set(payload.pop("manifest")) == {"subcommand", "params", "seed", "version", "duration_s"}
+        summary = summarize_simulation(simulate_sensitivity(d, k, trials, 4), k, d, delta)
+        assert payload == json.loads(json.dumps(summary))
+
+    @pytest.mark.parametrize("where", ["requested", "levels"])
+    @pytest.mark.parametrize("change", [{"extra": 1.0}, {"delta": 0.0}, {"delta": 1.0},
+                                        {"empirical_quantile": -0.5}],
+                             ids=["extra-key", "delta-0", "delta-1", "negative-quantile"])
+    def test_schema_refuses_a_bad_level(self, tmp_path, capsys, where, change):
+        assert cli.main(["sensitivity", "--d", "20", "--k", "40", "--trials", "100",
+                         "--out", str(tmp_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        validate(payload, "sensitivity.schema.json")
+        level = payload["requested"] if where == "requested" else payload["levels"][1]
+        level.update(change)
+        with pytest.raises(ValidationError):
+            validate(payload, "sensitivity.schema.json")
 
 
 class TestToyCmd:
@@ -821,6 +850,27 @@ class TestDeterminism:
         for variants in files.values():
             assert len(variants) == 3
             assert variants[0] == variants[1] == variants[2]
+
+    def test_one_parser_serves_every_call_in_a_process(self, data_dir, capsys):
+        # the parser is built once; no option of one call may reach the next
+        runs = [
+            ["calibrate", "--eps", "5", "--delta", "1e-5", "--dim", "100", "--k", "64",
+             "--n", "2000", "--epochs", "2", "--batch", "200", "--seed", "11"],
+            ["compute", "--a", str(data_dir / "a.csv"), "--b", str(data_dir / "b.csv"),
+             "--k", "16", "--seed", "3"],
+            ["calibrate", "--eps", "2", "--delta", "1e-6", "--dim", "50", "--k", "40",
+             "--n", "1000", "--epochs", "3", "--batch", "100", "--bound", "clt",
+             "--amplification", "none", "--delta-split", "0.3"],
+        ]
+        assert build_parser() is build_parser()
+        for argv in runs:
+            assert cli.main(argv) == 0
+            out = capsys.readouterr().out
+            fresh = run_cli(*argv)
+            assert fresh.returncode == 0, fresh.stderr
+            assert strip_duration(out) == strip_duration(fresh.stdout)
+            options = {action.dest for action in subcommand_parser(build_parser(), argv[0])._actions}
+            assert set(json.loads(out)["manifest"]["params"]) == options - {"help", "seed"}
 
     @SUBCOMMAND_RUNS
     def test_manifest_echoes_parsed_arguments(self, data_dir, tmp_path, argv_fn):

@@ -250,11 +250,12 @@ class TestSimulation:
 
     def test_summary_structure(self):
         h = sens.simulate_sensitivity(50, 32, 2000, seed=9)
-        s = sens.summarize_simulation(h, 32, 50)
-        assert s["trials"] == 2000
+        s = sens.summarize_simulation(h, 32, 50, 1e-3)
+        assert set(s) == {"empirical_mean", "expected_mean", "requested", "levels"}
         assert s["expected_mean"] == pytest.approx(32 / 50)
-        assert {lvl["delta"] for lvl in s["levels"]} == {0.1, 0.05, 0.01}
-        for lvl in s["levels"]:
+        assert s["requested"]["delta"] == 1e-3
+        assert [lvl["delta"] for lvl in s["levels"]] == list(sens.SUMMARY_DELTAS)
+        for lvl in [s["requested"], *s["levels"]]:
             assert lvl["empirical_quantile"] <= lvl["bernstein"]
 
 
