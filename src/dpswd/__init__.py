@@ -6,7 +6,7 @@ Renyi-DP accountant with noise calibration, and a particle-flow demo that
 trains against a private target.
 """
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 from .accountant import (
     CalibrationResult,
@@ -18,7 +18,6 @@ from .accountant import (
     Schedule,
     account,
     calibrate_sigma,
-    compose,
     gaussian_rdp,
     rdp_to_dp,
     subsampled_rdp,
@@ -87,7 +86,6 @@ __all__ = [
     "beta_moments",
     "calibrate_sigma",
     "clt_bound",
-    "compose",
     "derive_seed",
     "dp_swd",
     "fixed_sensitivity",

@@ -2,11 +2,12 @@
 
 The Gaussian mechanism with squared sensitivity w satisfies
 eps(alpha) = alpha * w / (2 sigma^2) at every Renyi order alpha > 1.
-Mini-batch training composes T subsampled copies of the mechanism; the
-composed curve converts to an (eps, delta)-DP statement by minimizing
-eps(alpha) + ln(1/delta)/(alpha - 1) over one grid of orders, the quarter
-steps 1.25..64 plus 128 and 256, and calibration inverts that map by a
-bracketing root search on log sigma.
+An RdpCurve is its values on one grid of orders, ORDERS: the quarter
+steps 1.25..64 plus 128 and 256. Mini-batch training composes T
+subsampled copies of the mechanism, which account does by multiplying the
+subsampled curve by T; the composed curve converts to an (eps, delta)-DP
+statement by minimizing eps(alpha) + ln(1/delta)/(alpha - 1) over ORDERS,
+and calibration inverts that map by a bracketing root search on log sigma.
 
 Amplification by subsampling is the upper bound for sampling a fixed-size
 batch without replacement under the replace-one neighboring relation: the
@@ -86,21 +87,17 @@ class InfeasibleBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class RdpCurve:
-    """eps(alpha) evaluated on a grid of Renyi orders alpha > 1."""
+    """eps(alpha) at each Renyi order alpha of ORDERS, in grid order."""
 
-    orders: np.ndarray
     eps_at_order: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        o = np.asarray(self.orders, dtype=float)
         e = np.asarray(self.eps_at_order, dtype=float)
-        if o.ndim != 1 or o.shape != e.shape or o.size == 0:
-            raise ValueError("orders and eps_at_order must be equal-length 1-D arrays")
-        if (o <= 1).any():
-            raise ValueError("all orders must exceed 1")
+        if e.shape != ORDERS.shape:
+            raise ValueError(f"eps_at_order must have one value per order of ORDERS, shape "
+                             f"{ORDERS.shape}, got {e.shape}")
         if not np.isfinite(e).all() or (e < 0).any():
             raise ValueError("eps values must be finite and nonnegative")
-        object.__setattr__(self, "orders", o)
         object.__setattr__(self, "eps_at_order", e)
 
 
@@ -182,7 +179,7 @@ class MechanismSpec:
 
 def gaussian_rdp(spec: MechanismSpec) -> RdpCurve:
     """Unamplified Gaussian mechanism: eps(alpha) = alpha * w / (2 sigma^2) on ORDERS."""
-    return RdpCurve(ORDERS, ORDERS * spec.sensitivity_sq / (2.0 * spec.sigma**2))
+    return RdpCurve(ORDERS * spec.sensitivity_sq / (2.0 * spec.sigma**2))
 
 
 _EXP_ZERO = -746.0  # float64 exp underflows to exactly +0.0 below about -745.13
@@ -232,23 +229,16 @@ def subsampled_rdp(spec: MechanismSpec, gamma: float) -> RdpCurve:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         eps_int = _amplified_integer_rdp(_log_weight(gamma), eps_j)
     # an order whose amplified bound overflows float64 (NaN) keeps the unamplified value
-    return RdpCurve(ORDERS, np.fmin(eps_int[_ROW], base.eps_at_order))
-
-
-def compose(curve: RdpCurve, steps: int) -> RdpCurve:
-    """Additive RDP composition of `steps` identical mechanisms."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    return RdpCurve(curve.orders, curve.eps_at_order * steps)
+    return RdpCurve(np.fmin(eps_int[_ROW], base.eps_at_order))
 
 
 def rdp_to_dp(curve: RdpCurve, delta: float) -> tuple[float, float]:
-    """Convert an RDP curve to (eps, delta)-DP: the grid minimum of
+    """Convert an RDP curve to (eps, delta)-DP: the minimum over ORDERS of
     eps(alpha) + ln(1/delta)/(alpha - 1); returns (eps, minimizing order)."""
     check_delta(delta)
-    totals = curve.eps_at_order + math.log(1.0 / delta) / (curve.orders - 1.0)
+    totals = curve.eps_at_order + math.log(1.0 / delta) / (ORDERS - 1.0)
     best = int(np.argmin(totals))
-    return float(totals[best]), float(curve.orders[best])
+    return float(totals[best]), float(ORDERS[best])
 
 
 def account(sigma: float, budget: Schedule, sensitivity: SensitivityBound) -> tuple[float, float]:
@@ -268,8 +258,8 @@ def account(sigma: float, budget: Schedule, sensitivity: SensitivityBound) -> tu
             f"steps={budget.steps}): build it with Schedule.tail_bound"
         )
     spec = MechanismSpec(sigma=sigma, sensitivity_sq=sensitivity.w)
-    curve = subsampled_rdp(spec, budget.sampling_rate)
-    return rdp_to_dp(compose(curve, budget.steps), budget.delta_conversion)
+    step = subsampled_rdp(spec, budget.sampling_rate)  # T identical steps add up in RDP
+    return rdp_to_dp(RdpCurve(step.eps_at_order * budget.steps), budget.delta_conversion)
 
 
 @dataclass(frozen=True)

@@ -145,9 +145,8 @@ def run_flow(
         loss, grad = value_and_gradient(
             EmpiricalMeasure(points), _step_target(target_private, cfg, step), step_cfg
         )
-        gnorm = float(np.linalg.norm(grad))
         if step % cfg.log_every == 0 or step == cfg.iterations - 1:
-            log(step, loss, gnorm)
+            log(step, loss, float(np.linalg.norm(grad)))
         if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
             raise FlowDiverged(
                 f"loss {loss:.3g} exceeded {DIVERGENCE_LIMIT:.0e} at step {step}; "

@@ -10,7 +10,8 @@ the sliced estimator needs for its k projections; wasserstein_1d_q is its
 one-row case, on two 1-D arrays or one-column EmpiricalMeasures. One rule,
 _sorted_side, sorts every side for both, with its weights; there is no
 sorted-measure type. Functions return the q-th power W_q^q; callers that
-report distances take the root at the boundary.
+report distances take the root at the boundary. W_q^q rounds to 0 for
+large q; wasserstein_1d, the distance, then rescales the gaps first.
 """
 
 from __future__ import annotations
@@ -22,22 +23,23 @@ import numpy as np
 from .measures import EmpiricalMeasure
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def per_row_costs(rows_a, weights_a, rows_b, weights_b, q: float) -> np.ndarray:
-    """Exact 1-D W_q^q for every row pair of two (k, n) and (k, m) sorted arrays.
+def _segment_gaps(rows_a, weights_a, rows_b, weights_b) -> tuple[np.ndarray, np.ndarray]:
+    """(seg, gaps) for every row pair of two (k, n) and (k, m) sorted arrays.
 
     Both inverse CDFs are constant between the merged breakpoints of the two
-    cumulative-weight ladders; each such segment contributes its length
-    times |x - y|^q. Weights of None mean uniform, whose ladders i/n and
-    j/m are shared by every row and merged once. A cost that overflows
-    float64 comes back inf or NaN without a numpy warning; callers that
-    report it refuse it.
+    cumulative-weight ladders: seg holds each segment's length, gaps the
+    (k, segments) array |x - y| of the two sides on it. Weights of None mean
+    uniform, whose ladders i/n and j/m are shared by every row and merged once.
     """
     n, m = rows_a.shape[1], rows_b.shape[1]
     if weights_a is None and weights_b is None:
         ca, cb = np.arange(1, n + 1) / n, np.arange(1, m + 1) / m
         z = np.union1d(ca, cb)  # i/n == j/m exactly when the fractions are equal
         seg = np.diff(z, prepend=0.0)
+        # numpy returns this gather F-ordered, and per_row_costs sums its rows
+        # in that memory order; a C-ordered array of the same values (rows_a -
+        # rows_b when n == m, say) sums to different last bits, so its layout
+        # is part of every pinned cost and flow trace
         gaps = rows_a[:, np.searchsorted(ca, z)]
         gaps -= rows_b[:, np.searchsorted(cb, z)]
     else:
@@ -57,6 +59,19 @@ def per_row_costs(rows_a, weights_a, rows_b, weights_b, q: float) -> np.ndarray:
         gaps = np.take_along_axis(rows_a, np.minimum(ia, n - 1), axis=1)
         gaps -= np.take_along_axis(rows_b, np.minimum(ib, m - 1), axis=1)
     np.abs(gaps, out=gaps)
+    return seg, gaps
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def per_row_costs(rows_a, weights_a, rows_b, weights_b, q: float) -> np.ndarray:
+    """Exact 1-D W_q^q for every row pair of two (k, n) and (k, m) sorted arrays.
+
+    Each segment of the merged ladders (see _segment_gaps) contributes its
+    length times |x - y|^q. Weights of None mean uniform. A cost that
+    overflows float64 comes back inf or NaN without a numpy warning; callers
+    that report it refuse it.
+    """
+    seg, gaps = _segment_gaps(rows_a, weights_a, rows_b, weights_b)
     gaps **= q
     gaps *= seg
     return np.sum(gaps, axis=1)
@@ -118,5 +133,20 @@ def wasserstein_1d_q(a, b, q: float = 2.0) -> float:
 
 
 def wasserstein_1d(a, b, q: float = 2.0) -> float:
-    """The distance itself, W_q = (W_q^q)^(1/q)."""
-    return wasserstein_1d_q(a, b, q) ** (1.0 / q)
+    """The distance itself, W_q = (W_q^q)^(1/q).
+
+    For large q the q-th power of every gap can underflow, and W_q^q with
+    them (W_q^q of gaps 0.02 is 0.0 at q = 200). Below the smallest normal
+    float the gaps are scaled by the largest, m, first: W_q = m (sum seg
+    (|g| / m)^q)^(1/q), and 0.0 when m = 0. Only segments of positive
+    length count; a zero-length one may carry the gap of a zero-weight point.
+    """
+    cost = wasserstein_1d_q(a, b, q)
+    if not cost < np.finfo(float).tiny:
+        return cost ** (1.0 / q)
+    seg, gaps = np.broadcast_arrays(*_segment_gaps(*_sorted_row(a), *_sorted_row(b)))
+    seg, gaps = seg[seg > 0], gaps[seg > 0]
+    top = gaps.max()  # the lengths sum to 1, so some segment has positive length
+    if top == 0:
+        return 0.0
+    return float(top * np.sum(seg * (gaps / top) ** q) ** (1.0 / q))

@@ -213,27 +213,42 @@ class TestSubsampledRdpFullArray:
                 assert np.array_equal(at(curve, grid), expected), (sigma, w)
 
 
-class TestCompose:
-    def test_identity_and_scaling(self):
-        curve = acc.RdpCurve(np.array([2.0, 3.0]), np.array([0.01, 0.02]))
-        assert np.array_equal(acc.compose(curve, 1).eps_at_order, curve.eps_at_order)
-        assert np.allclose(acc.compose(curve, 100).eps_at_order, [1.0, 2.0])
+def curve_with(eps_by_order):
+    """A curve on acc.ORDERS: the given eps at those orders, a large finite value elsewhere."""
+    eps = np.full(acc.ORDERS.shape, 1e3)
+    for order, value in eps_by_order.items():
+        eps[acc.ORDERS == order] = value
+    return acc.RdpCurve(eps)
 
-    def test_associativity(self):
-        curve = acc.RdpCurve(np.array([2.0]), np.array([0.5]))
-        left = acc.compose(acc.compose(curve, 3), 4)
-        right = acc.compose(curve, 12)
-        assert np.array_equal(left.eps_at_order, right.eps_at_order)
 
-    def test_steps_validation(self):
-        curve = acc.RdpCurve(np.array([2.0]), np.array([0.5]))
-        with pytest.raises(ValueError):
-            acc.compose(curve, 0)
+class TestRdpCurve:
+    def test_holds_one_value_per_order(self):
+        curve = acc.RdpCurve(np.arange(acc.ORDERS.size))
+        assert curve.eps_at_order.dtype == float
+        assert [f.name for f in dataclasses.fields(curve)] == ["eps_at_order"]
+
+    @pytest.mark.parametrize("size", [0, 1, acc.ORDERS.size - 1, acc.ORDERS.size + 1])
+    def test_refuses_wrong_length(self, size):
+        with pytest.raises(ValueError, match="one value per order of ORDERS"):
+            acc.RdpCurve(np.ones(size))
+
+    def test_refuses_wrong_shape(self):
+        with pytest.raises(ValueError, match="one value per order of ORDERS"):
+            acc.RdpCurve(np.ones((1, acc.ORDERS.size)))
+        with pytest.raises(ValueError, match="one value per order of ORDERS"):
+            acc.RdpCurve(1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_refuses_nan_inf_and_negative(self, bad):
+        eps = np.ones(acc.ORDERS.size)
+        eps[7] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            acc.RdpCurve(eps)
 
 
 class TestRdpToDp:
     def test_single_order(self):
-        curve = acc.RdpCurve(np.array([2.0]), np.array([1.0]))
+        curve = curve_with({2.0: 1.0})
         eps, order = acc.rdp_to_dp(curve, 1e-5)
         assert eps == pytest.approx(1.0 + math.log(1e5), abs=1e-9)
         assert order == 2.0
@@ -246,7 +261,7 @@ class TestRdpToDp:
         assert eps == pytest.approx(10.0, abs=0.05)
 
     def test_delta_to_one_recovers_min_eps(self):
-        curve = acc.RdpCurve(np.array([2.0, 8.0]), np.array([0.3, 0.8]))
+        curve = curve_with({2.0: 0.3, 8.0: 0.8})
         eps, order = acc.rdp_to_dp(curve, 1 - 1e-12)
         assert eps == pytest.approx(0.3, abs=1e-10)
         assert order == 2.0
@@ -254,13 +269,13 @@ class TestRdpToDp:
     def test_is_true_minimum_over_grid(self):
         rng = np.random.default_rng(0)
         orders = acc.ORDERS
-        curve = acc.RdpCurve(orders, rng.uniform(0.01, 2.0, orders.size))
+        curve = acc.RdpCurve(rng.uniform(0.01, 2.0, orders.size))
         eps, _ = acc.rdp_to_dp(curve, 1e-3)
         per_order = curve.eps_at_order + math.log(1e3) / (orders - 1)
         assert eps <= per_order.min() + 1e-15
 
     def test_delta_validation(self):
-        curve = acc.RdpCurve(np.array([2.0]), np.array([1.0]))
+        curve = curve_with({2.0: 1.0})
         for bad in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
                 acc.rdp_to_dp(curve, bad)
@@ -476,8 +491,9 @@ class TestCalibrationPins:
         assert acc.account(sigma, budget, bound) == (eps, order)
         spec = acc.MechanismSpec(sigma=sigma, sensitivity_sq=bound.w)
         subset = at(acc.subsampled_rdp(spec, budget.sampling_rate), SUBSET_ORDERS)
-        curve = acc.compose(acc.RdpCurve(SUBSET_ORDERS, subset), budget.steps)
-        eps_subset, order_subset = acc.rdp_to_dp(curve, budget.delta_conversion)
+        totals = subset * budget.steps + math.log(1.0 / budget.delta_conversion) / (SUBSET_ORDERS - 1.0)
+        best = int(np.argmin(totals))
+        eps_subset, order_subset = float(totals[best]), float(SUBSET_ORDERS[best])
         if order == int(order):
             assert (eps_subset, order_subset) == (eps, order)
         else:
@@ -557,7 +573,7 @@ class TestDirectionPolicy:
         bound = self.budget.tail_bound(per_draw.kind, 100, 50)
         assert bound == per_draw
         spec = acc.MechanismSpec(sigma=1.5, sensitivity_sq=per_draw.w)
-        curve = acc.compose(acc.subsampled_rdp(spec, 0.02), 500)
+        curve = acc.RdpCurve(acc.subsampled_rdp(spec, 0.02).eps_at_order * 500)
         assert acc.account(1.5, self.budget, bound) == acc.rdp_to_dp(curve, self.budget.delta_conversion)
         result = acc.calibrate_sigma(self.budget, bound)
         assert result.sensitivity is bound
@@ -567,7 +583,7 @@ class TestDirectionPolicy:
         # a bound with no tail is charged as given at each of the T steps
         bound = fixed_sensitivity(1.0)
         spec = acc.MechanismSpec(sigma=1.5, sensitivity_sq=bound.w)
-        curve = acc.compose(acc.subsampled_rdp(spec, 0.02), 500)
+        curve = acc.RdpCurve(acc.subsampled_rdp(spec, 0.02).eps_at_order * 500)
         assert acc.account(1.5, self.budget, bound) == acc.rdp_to_dp(curve, self.budget.delta_conversion)
         result = acc.calibrate_sigma(self.budget, bound)
         assert result.sensitivity is bound
@@ -585,7 +601,7 @@ class TestDirectionPolicy:
         budget = acc.PrivacyBudget(eps_target=3.0, delta_target=1e-6, steps=steps, delta_split=0.0)
         bound = fixed_sensitivity(1.0)
         spec = acc.MechanismSpec(sigma=1.5, sensitivity_sq=1.0)
-        curve = acc.compose(acc.subsampled_rdp(spec, 1.0), steps)
+        curve = acc.RdpCurve(acc.subsampled_rdp(spec, 1.0).eps_at_order * steps)
         assert acc.account(1.5, budget, bound) == acc.rdp_to_dp(curve, budget.delta_conversion)
         assert acc.calibrate_sigma(budget, bound).sensitivity is bound
 
@@ -605,7 +621,7 @@ class TestDirectionPolicy:
         # T delta <= delta_s: a smaller per-draw delta is sound, and is not rebuilt
         bound = make(100, 50, self.budget.delta_sensitivity / self.budget.steps / 4)
         spec = acc.MechanismSpec(sigma=1.5, sensitivity_sq=bound.w)
-        curve = acc.compose(acc.subsampled_rdp(spec, 0.02), 500)
+        curve = acc.RdpCurve(acc.subsampled_rdp(spec, 0.02).eps_at_order * 500)
         assert acc.account(1.5, self.budget, bound) == acc.rdp_to_dp(curve, self.budget.delta_conversion)
 
     @pytest.mark.parametrize("split", [0.0, 0.25])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import permutations
 
@@ -218,3 +219,97 @@ class TestOneRowOfTheKernel:
             # a measure with uniform weights takes the same None-weight row as its array
             if wa is None:
                 assert wasserstein_1d_q(from_points(xa[:, None]), b, q) == expected
+
+
+class TestLargeOrder:
+    """W_q^q underflows for large q; the distance W_q must not."""
+
+    @pytest.mark.parametrize("q", [200, 400, 1000])
+    def test_underflowing_power_keeps_the_distance(self, q):
+        # both gaps are 0.02, and 0.02^200 is below the smallest float
+        assert wasserstein_1d_q([0, 0.01], [0.02, 0.03], q) == 0.0
+        assert wasserstein_1d([0, 0.01], [0.02, 0.03], q) == pytest.approx(0.02, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [200, 1000])
+    def test_zero_weight_point_does_not_set_the_scale(self, q):
+        # its gap of 0.48 sits on a zero-length segment; scaling by it would
+        # underflow the true gap 0.02 at q = 1000
+        a = EmpiricalMeasure(np.array([[0.0], [0.5]]), [1.0, 0.0])
+        assert wasserstein_1d(a, [0.02], q) == pytest.approx(0.02, rel=1e-12)
+
+    def test_equal_measures_stay_zero(self):
+        assert wasserstein_1d([0.25, 0.5], [0.5, 0.25], 1000) == 0.0
+
+    def test_normal_cost_keeps_the_plain_root(self):
+        for q in (1.0, 2.0, 3.5, 150.0):
+            cost = wasserstein_1d_q([0, 0.01], [0.02, 0.03], q)
+            assert cost > 0 and wasserstein_1d([0, 0.01], [0.02, 0.03], q) == cost ** (1.0 / q)
+
+
+def grid_side(draw, st):
+    """A 1-D measure on the grid 2^-21 Z within [-1/2, 1/2], uniform or weighted.
+
+    Differences of grid points are exact, and so is scaling them by 2^j for
+    j >= -30, so a property fails only by the cost's own rounding.
+    """
+    values = np.array(draw(st.lists(st.integers(-2**20, 2**20), min_size=1, max_size=8))) * 2.0**-21
+    weights = draw(st.one_of(st.none(), st.lists(st.integers(1, 5), min_size=values.size,
+                                                  max_size=values.size)))
+    return values, weights
+
+
+def as_measure(values, weights):
+    return values if weights is None else EmpiricalMeasure(values[:, None], weights)
+
+
+class TestLargeOrderProperties:
+    # margins fixed before the run: relative 1e-12, a few hundred ulps of a
+    # cost whose rounding error the 1/q root divides by q
+    REL = 1e-12
+
+    def test_monotone_in_order_and_homogeneous(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
+        @hypothesis.given(
+            st.data(), st.floats(1.0, 1000.0), st.floats(1.0, 1000.0), st.integers(-30, 0)
+        )
+        def check(data, p, q, j):
+            p, q = min(p, q), max(p, q)
+            (xa, wa), (xb, wb) = grid_side(data.draw, st), grid_side(data.draw, st)
+            w_q = wasserstein_1d(as_measure(xa, wa), as_measure(xb, wb), q)
+            w_p = wasserstein_1d(as_measure(xa, wa), as_measure(xb, wb), p)
+            assert w_p <= w_q * (1 + self.REL)
+            scaled = wasserstein_1d(as_measure(2.0**j * xa, wa), as_measure(2.0**j * xb, wb), q)
+            assert scaled == pytest.approx(2.0**j * w_q, rel=self.REL, abs=0)
+
+        check()
+
+
+class TestPerRowCostsPin:
+    """The bytes of per_row_costs on seeded sorted rows, one pin per path.
+
+    The row sums add in the gather's memory order, so a C-ordered copy of the
+    same gaps moves the last bits. Nothing here calls BLAS, so the bytes do not
+    depend on the CPU's matrix kernels.
+    """
+
+    PINS = {
+        (400, 400, False): "4a2fa65b4c760fea25770c6a3e4305f84d4ac370bcb031975af5c05840dbab4b",
+        (400, 300, False): "d04a3ff80d9ec9a63de5e258a8ffb3802e169a6d0b4a186d5c50cbf90b9bc5d1",
+        (400, 300, True): "c09136864d9f35eb61715f71b2592622a6fea6c543d17a76b6dd710ccf04d864",
+    }
+
+    @pytest.mark.parametrize("n, m, weighted", list(PINS), ids=["equal", "unequal", "weighted"])
+    def test_bytes(self, n, m, weighted):
+        rng = np.random.default_rng(20260)
+        rows_a = np.sort(rng.standard_normal((64, n)), axis=1)
+        rows_b = np.sort(rng.standard_normal((64, m)) + 0.25, axis=1)
+        weights_a = None
+        if weighted:
+            weights_a = rng.random((64, n))
+            weights_a /= weights_a.sum(axis=1, keepdims=True)
+        costs = per_row_costs(rows_a, weights_a, rows_b, None, 2.0)
+        assert costs.dtype == np.float64 and costs.shape == (64,)
+        assert hashlib.sha256(costs.tobytes()).hexdigest() == self.PINS[n, m, weighted]
