@@ -10,8 +10,8 @@ the sliced estimator needs for its k projections; wasserstein_1d_q is its
 one-row case, on two 1-D arrays or one-column EmpiricalMeasures. One rule,
 _sorted_side, sorts every side for both, with its weights; there is no
 sorted-measure type. Functions return the q-th power W_q^q; callers that
-report distances take the root at the boundary. W_q^q rounds to 0 for
-large q; wasserstein_1d, the distance, then rescales the gaps first.
+report distances take the root at the boundary. W_q^q rounds to 0 or inf
+for large q; wasserstein_1d, the distance, rescales the gaps first.
 """
 
 from __future__ import annotations
@@ -132,21 +132,21 @@ def wasserstein_1d_q(a, b, q: float = 2.0) -> float:
     return float(per_row_costs(*_sorted_row(a), *_sorted_row(b), q)[0])
 
 
+@np.errstate(over="ignore")
 def wasserstein_1d(a, b, q: float = 2.0) -> float:
-    """The distance itself, W_q = (W_q^q)^(1/q).
+    """The distance itself, W_q = (W_q^q)^(1/q), for every finite q >= 1.
 
-    For large q the q-th power of every gap can underflow, and W_q^q with
-    them (W_q^q of gaps 0.02 is 0.0 at q = 200). Below the smallest normal
-    float the gaps are scaled by the largest, m, first: W_q = m (sum seg
-    (|g| / m)^q)^(1/q), and 0.0 when m = 0. Only segments of positive
-    length count; a zero-length one may carry the gap of a zero-weight point.
+    For large q the q-th power of a gap underflows (0.02^200) or overflows
+    (10^400), and W_q^q with it, so the gaps are scaled by the largest, m,
+    first: W_q = m (sum seg (|g| / m)^q)^(1/q), and 0.0 when m = 0. Only
+    segments of positive length count; a zero-length one may carry the gap
+    of a zero-weight point. A gap beyond the largest float gives inf.
     """
-    cost = wasserstein_1d_q(a, b, q)
-    if not cost < np.finfo(float).tiny:
-        return cost ** (1.0 / q)
+    if not 1 <= q < math.inf:
+        raise ValueError(f"order q must be finite and >= 1, got {q}")
     seg, gaps = np.broadcast_arrays(*_segment_gaps(*_sorted_row(a), *_sorted_row(b)))
     seg, gaps = seg[seg > 0], gaps[seg > 0]
     top = gaps.max()  # the lengths sum to 1, so some segment has positive length
-    if top == 0:
-        return 0.0
+    if not 0 < top < math.inf:
+        return float(top)
     return float(top * np.sum(seg * (gaps / top) ** q) ** (1.0 / q))

@@ -237,13 +237,26 @@ class TestLargeOrder:
         a = EmpiricalMeasure(np.array([[0.0], [0.5]]), [1.0, 0.0])
         assert wasserstein_1d(a, [0.02], q) == pytest.approx(0.02, rel=1e-12)
 
+    def test_overflowing_power_keeps_the_distance(self):
+        # 10^400 is above the largest float
+        assert wasserstein_1d([0.0], [10.0], 400) == pytest.approx(10.0, rel=1e-12)
+
+    def test_zero_weight_point_does_not_overflow(self):
+        # its gap of 100 on a zero-length segment would give 0 * inf
+        a = EmpiricalMeasure(np.array([[0.0], [100.0]]), [1.0, 0.0])
+        assert wasserstein_1d(a, [0.02], 200) == pytest.approx(0.02, rel=1e-12)
+
     def test_equal_measures_stay_zero(self):
         assert wasserstein_1d([0.25, 0.5], [0.5, 0.25], 1000) == 0.0
 
-    def test_normal_cost_keeps_the_plain_root(self):
+    def test_gap_beyond_the_largest_float_is_inf(self):
+        assert wasserstein_1d([-1e308], [1e308], 2) == math.inf
+
+    def test_normal_cost_agrees_with_the_plain_root(self):
         for q in (1.0, 2.0, 3.5, 150.0):
             cost = wasserstein_1d_q([0, 0.01], [0.02, 0.03], q)
-            assert cost > 0 and wasserstein_1d([0, 0.01], [0.02, 0.03], q) == cost ** (1.0 / q)
+            assert cost > 0
+            assert wasserstein_1d([0, 0.01], [0.02, 0.03], q) == pytest.approx(cost ** (1.0 / q), rel=1e-12)
 
 
 def grid_side(draw, st):
