@@ -29,7 +29,7 @@ DIVERGENCE_LIMIT = 1e6
 
 
 class FlowDiverged(RuntimeError):
-    """Loss exceeded the divergence limit; carries the partial trace."""
+    """Loss exceeded the divergence limit or an update overflowed; carries the partial trace."""
 
     def __init__(self, message: str, trace: "FlowTrace"):
         super().__init__(message)
@@ -101,17 +101,16 @@ def run_flow(
     consistent (loss, gradient) pair from one release, and moves the
     particles. The target enters every step only through its noised
     projections, and the source's projections get the same noise level.
-    When sigma > 0 the target must satisfy the privacy normalization
-    precondition (all row norms <= 1/2), else DataError. So are a dimension
-    mismatch, unequal sample counts without batching, and a batch_size that
-    is not the source particle count or exceeds the target's.
+    Checked here, before any step: a dimension mismatch, weights that are
+    not uniform (both measures are re-wrapped as uniform ones), a batch_size
+    that is not the source particle count or exceeds the target's, and at
+    sigma > 0 the target's privacy normalization (row norms <= 1/2).
+    value_and_gradient refuses unequal sample counts without batching, at
+    step 0. A loss above DIVERGENCE_LIMIT, or an update that overflows
+    float64, raises FlowDiverged with the trace logged so far.
     """
     if source_init.dim != target_private.dim:
         raise DataError(f"dimension mismatch: {source_init.dim} vs {target_private.dim}")
-    if source_init.n != target_private.n and cfg.batch_size is None:
-        raise DataError(
-            f"equal sample counts required, got {source_init.n} and {target_private.n}"
-        )
     if not (source_init.is_uniform() and target_private.is_uniform()):
         raise ValueError("uniform weights required for particle flow")
     if cfg.batch_size is not None:
@@ -128,25 +127,20 @@ def run_flow(
         privacy = CalibrationResult(cfg.sigma, *account(cfg.sigma, schedule, bound), bound)
 
     points = source_init.points  # read-only; every step makes a new array
-    iters, losses, gnorms = [], [], []
-
-    def log(i: int, loss: float, gnorm: float) -> None:
-        iters.append(i)
-        losses.append(loss)
-        gnorms.append(gnorm)
+    rows = []  # (step, loss, gradient norm); step 0 is always logged
 
     def trace() -> FlowTrace:
-        return FlowTrace(np.array(iters), np.array(losses), np.array(gnorms), points, privacy)
+        steps, losses, grad_norms = (np.array(column) for column in zip(*rows))
+        return FlowTrace(steps, losses, grad_norms, points, privacy)
 
     for step in range(cfg.iterations):
-        step_seed = derive_seed(cfg.seed, step)
-        step_cfg = SwdConfig(k=cfg.k, q=2.0, seed=step_seed, sigma=cfg.sigma, noise_seed=step_seed)
+        step_cfg = SwdConfig(k=cfg.k, q=2.0, seed=derive_seed(cfg.seed, step), sigma=cfg.sigma)
         # both measures adopt their read-only arrays and go with the call
         loss, grad = value_and_gradient(
             EmpiricalMeasure(points), _step_target(target_private, cfg, step), step_cfg
         )
         if step % cfg.log_every == 0 or step == cfg.iterations - 1:
-            log(step, loss, float(np.linalg.norm(grad)))
+            rows.append((step, loss, float(np.linalg.norm(grad))))
         if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
             raise FlowDiverged(
                 f"loss {loss:.3g} exceeded {DIVERGENCE_LIMIT:.0e} at step {step}; "
@@ -154,8 +148,16 @@ def run_flow(
                 trace(),
             )
         # points - lr * grad, written over the gradient, which becomes the points
-        grad *= cfg.learning_rate
-        points = np.subtract(points, grad, out=grad)
+        try:
+            with np.errstate(over="raise"):
+                grad *= cfg.learning_rate
+                points = np.subtract(points, grad, out=grad)
+        except FloatingPointError:
+            raise FlowDiverged(
+                f"the update overflowed float64 at step {step}; "
+                f"reduce the learning rate (lr={cfg.learning_rate})",
+                trace(),
+            ) from None
         points.setflags(write=False)
 
     return trace()

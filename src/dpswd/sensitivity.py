@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -140,11 +141,19 @@ def check_delta(delta: float) -> None:
 
 
 def _check_count(name: str, value: int, minimum: int) -> None:
-    """Refuse a count that is not an integer (numpy's included, bool not) >= minimum."""
+    """Refuse a count that is not an integer (numpy's included, bool not) >= minimum.
+
+    A count (a finite minimum) must also lie within float64's range, since
+    the bounds and the schedule compute with it as a float; a seed (minimum
+    -inf) may be any integer.
+    """
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if minimum > -math.inf and value > sys.float_info.max:
+        raise ValueError(f"{name} must be at most {sys.float_info.max:.6g}, float64's largest "
+                         f"value, got about 10^{math.log10(value):.1f}")
 
 
 def _check_bound_args(k: int, d: int, delta: float) -> None:

@@ -1,12 +1,15 @@
 import argparse
+import contextlib
 import dataclasses
 import inspect
+import io
 import json
 import math
 import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -507,6 +510,18 @@ class TestCalibrateCmd:
         assert f"{flag} must be >= 1" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("flag, field", [("--epochs", "--epochs"), ("--n", "--n"),
+                                             ("--k", "k"), ("--dim", "d")])
+    def test_count_beyond_float64_is_usage_error(self, flag, field):
+        # the bounds and the schedule compute with counts as floats
+        sizes = {"--dim": "784", "--k": "1000", "--n": "60000", "--epochs": "1", flag: str(10**320)}
+        r = run_cli("calibrate", "--eps", "10", "--delta", "1e-5", "--batch", "100",
+                    *(part for item in sizes.items() for part in item))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert f"error: {field} must be at most 1.79769e+308" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_budget_met_at_bracket_floor_is_clamped(self):
         # sigma = 1e-3 already meets eps = 1e13; the floor is reported, not searched below
         r = run_cli("calibrate", "--eps", "1e13", "--delta", "1e-5", "--dim", "784",
@@ -523,6 +538,62 @@ class TestCalibrateCmd:
                     "--amplification", "none", "--seed", "0")
         assert r.returncode == 4
         assert "achieved eps" in r.stderr
+
+
+def finite_numbers(value) -> bool:
+    """True when every float in a parsed JSON value is finite."""
+    if isinstance(value, dict):
+        return all(finite_numbers(v) for v in value.values())
+    if isinstance(value, list):
+        return all(finite_numbers(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def run_in_process(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of cli.main; argparse's refusals exit by SystemExit.
+
+    Warnings are shown as in a plain python process, not raised as under
+    this suite's error filter, so main reports them on stderr.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("default")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCalibrateIntegerFlagsProperty:
+    # the edges of the count checks, of exact float conversion and of
+    # float64's range, beside ordinary values
+    EDGES = [-1, 0, 1, 2, 2**53, 10**17, 10**300, 10**308, 10**309, 10**400]
+    FLAGS = ["--n", "--epochs", "--batch", "--k", "--dim"]
+
+    def test_every_argv_ends_in_a_documented_exit(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        value = st.sampled_from(self.EDGES) | st.integers(1, 100_000)
+
+        # in process: hypothesis refuses function-scoped fixtures such as capsys
+        @hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+        @hypothesis.given(st.fixed_dictionaries({flag: value for flag in self.FLAGS}),
+                          st.sampled_from(["bernstein", "clt"]))
+        def check(counts, bound):
+            argv = ["calibrate", "--eps", "10", "--delta", "1e-5", "--bound", bound,
+                    *(part for flag, count in counts.items() for part in (flag, str(count)))]
+            code, out, err = run_in_process(argv)
+            assert code in (0, 2, 3, 4, 5), (argv, err)
+            assert "Traceback" not in err
+            if code != 0:
+                assert out == ""
+                return
+            payload = json.loads(out)
+            validate(payload, "calibrate.schema.json")
+            assert finite_numbers(payload)
+
+        check()
 
 
 class TestFlowCmd:
@@ -698,6 +769,34 @@ class TestFlowCmd:
         assert [int(line.split(",")[0]) for line in trace[1:]] == list(range(len(trace) - 1))
         assert len(trace) - 1 < 200
         assert not (out / "particles.csv").exists()
+
+    @pytest.mark.parametrize("iters", ["1", "2"])
+    def test_update_overflow_exits_as_diverged_with_trace(self, tmp_path, iters):
+        # the loss stays finite, but lr * grad overflows float64 at step 0
+        rng = np.random.default_rng(0)
+        np.savetxt(tmp_path / "src.csv", rng.standard_normal((20, 3)) * 10 + 500, delimiter=",")
+        np.savetxt(tmp_path / "tgt.csv", rng.standard_normal((20, 3)), delimiter=",")
+        out = tmp_path / "out"
+        r = run_cli("flow", "--source", str(tmp_path / "src.csv"),
+                    "--target", str(tmp_path / "tgt.csv"),
+                    "--iters", iters, "--lr", "1.7e308", "--k", "8", "--out", str(out))
+        assert r.returncode == 5
+        assert r.stdout == ""
+        assert "overflowed float64 at step 0" in r.stderr
+        assert "warning:" not in r.stderr and "Traceback" not in r.stderr
+        assert (out / "trace.csv").read_text().splitlines()[0] == "iteration,loss,grad_norm"
+        assert not (out / "particles.csv").exists()
+
+    def test_iterations_beyond_float64_is_usage_error(self, data_dir, tmp_path):
+        out = tmp_path / "x"
+        r = run_cli("flow", "--source", str(data_dir / "src2d.csv"),
+                    "--target", str(data_dir / "tgt2d.csv"), "--iters", str(10**320),
+                    "--lr", "0.1", "--sigma", "1", "--normalize", "clip:4", "--out", str(out))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "iterations must be at most" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
 
     def test_round_trip_with_calibrate(self, data_dir, tmp_path):
         # sigma calibrated for a schedule, then a flow run on that schedule

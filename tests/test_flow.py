@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,24 @@ class TestRunFlow:
         with pytest.raises(FlowDiverged, match="learning rate") as exc_info:
             run_flow(src, tgt, cfg)
         assert exc_info.value.trace.losses.size >= 1
+
+    @pytest.mark.parametrize("iterations", [1, 2])
+    def test_update_overflow_is_divergence(self, iterations):
+        # lr * grad overflows float64 at step 0 while the loss is still finite
+        rng = np.random.default_rng(0)
+        src = from_points(rng.standard_normal((20, 3)) * 10 + 500)
+        tgt = from_points(rng.standard_normal((20, 3)))
+        cfg = FlowConfig(iterations=iterations, learning_rate=1.7e308, k=8, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FlowDiverged, match="overflowed float64 at step 0") as exc_info:
+                run_flow(src, tgt, cfg)
+        assert not caught  # numpy's overflow warning included
+        assert "lr=1.7e+308" in str(exc_info.value)
+        trace = exc_info.value.trace
+        assert trace.iterations.tolist() == [0]
+        assert np.isfinite(trace.losses).all() and np.isfinite(trace.grad_norms).all()
+        assert trace.final_points is src.points  # the last finite positions
 
     def test_target_read_only_for_projection_release(self):
         # one projection release per step (loss and gradient are both

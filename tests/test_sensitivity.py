@@ -156,6 +156,23 @@ class TestBernsteinBound:
     def test_numpy_integers_accepted(self):
         assert sens.bernstein_bound(np.int32(40), np.int64(784), 0.1).w == sens.bernstein_bound(40, 784, 0.1).w
 
+    @pytest.mark.parametrize("bound", [sens.bernstein_bound, sens.clt_bound])
+    @pytest.mark.parametrize("k,d,name", [(10**309, 784, "k"), (40, 10**400, "d")])
+    def test_count_beyond_float64_rejected(self, bound, k, d, name):
+        # the bound computes k/d and k (d-1)/(d+2) as floats
+        with pytest.raises(ValueError, match=f"^{name} must be at most 1.79769e\\+308"):
+            bound(k, d, 0.1)
+
+
+class TestCheckCount:
+    def test_counts_end_at_float64_max_and_seeds_do_not(self):
+        largest = int(sys.float_info.max)
+        sens._check_count("k", largest, 1)
+        with pytest.raises(ValueError, match="k must be at most"):
+            sens._check_count("k", largest + 1, 1)
+        for seed in (largest + 1, 10**400, -(10**400)):  # taken mod 2**64 by their users
+            sens._check_count("seed", seed, -math.inf)
+
 
 class TestCltBound:
     def test_reference_value(self):
