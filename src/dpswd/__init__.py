@@ -6,7 +6,7 @@ Renyi-DP accountant with noise calibration, and a particle-flow demo that
 trains against a private target.
 """
 
-__version__ = "0.20.1"
+__version__ = "0.21.0"
 
 from .accountant import (
     CalibrationResult,

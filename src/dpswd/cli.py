@@ -86,9 +86,10 @@ def _parse_grid(text: str) -> list[float]:
     return [min(start + i * step, stop) for i in range(count)]
 
 
-def _parse_normalize(text: str) -> tuple[str, float | None]:
+def _parse_normalize(text: str) -> float | None:
+    """The clip radius C of 'clip:C', or None for 'max' (max-norm)."""
     if text == "max":
-        return "max-norm", None
+        return None
     if text.startswith("clip:"):
         try:
             radius = float(text.split(":", 1)[1])
@@ -97,7 +98,7 @@ def _parse_normalize(text: str) -> tuple[str, float | None]:
         if not 0 < radius <= MAX_CLIP:
             raise argparse.ArgumentTypeError(f"bad clip radius in {text!r}: C must be finite and > 0, "
                                              "with 2C finite")
-        return "clip", radius
+        return radius
     raise argparse.ArgumentTypeError(f"normalize must be 'max' or 'clip:C', got {text!r}")
 
 
@@ -110,9 +111,8 @@ def _input_loader(args) -> Callable[[str], EmpiricalMeasure]:
         )
     if args.normalize is None:
         return lambda path: load_csv(path, has_header=args.header)
-    mode, radius = _parse_normalize(args.normalize)
-    return lambda path: normalize_for_privacy(load_csv(path, has_header=args.header),
-                                              mode=mode, clip=radius)
+    clip = _parse_normalize(args.normalize)
+    return lambda path: normalize_for_privacy(load_csv(path, has_header=args.header), clip=clip)
 
 
 def _require_counts(args, *names) -> None:
@@ -366,8 +366,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     error = None
     # recorded, so each distinct warning reaches stderr once and without the
-    # source location it was raised at
+    # source location it was raised at; "always" also keeps an error filter
+    # of the process (python -W error) from raising one out of main
     with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             started = time.perf_counter()
             payload = args.func(args)

@@ -171,35 +171,32 @@ def save_csv(measure: EmpiricalMeasure, path) -> None:
     write_csv_rows(path, (row.tolist() for row in measure.points))
 
 
-def normalize_for_privacy(
-    measure: EmpiricalMeasure, mode: str = "max-norm", clip: float | None = None
-) -> EmpiricalMeasure:
+def normalize_for_privacy(measure: EmpiricalMeasure, clip: float | None = None) -> EmpiricalMeasure:
     """Rescale rows so any two differ by at most 1 in l2 norm.
 
-    clip mode first shrinks rows with norm above C onto the radius-C ball,
-    then divides by 2C. With a public constant C, replacing one record moves
-    one row by at most 1 and no other row, which is the neighbouring-dataset
-    precondition the sensitivity bounds and the reported epsilon rest on.
-    max-norm mode divides every row by 2*max row norm, the data-dependent
-    rule of the training algorithm. That divisor is a statistic of the data
-    itself: replacing one record can rescale every row, so the reported
-    epsilon does not cover data normalized this way.
+    With a radius C, rows with norm above C are first shrunk onto the
+    radius-C ball, then every row is divided by 2C. With a public constant C,
+    replacing one record moves one row by at most 1 and no other row, which
+    is the neighbouring-dataset precondition the sensitivity bounds and the
+    reported epsilon rest on. With None (max-norm), every row is divided by
+    2*max row norm, the data-dependent rule of the training algorithm. That
+    divisor is a statistic of the data itself: replacing one record can
+    rescale every row, so the reported epsilon does not cover data
+    normalized this way.
     """
     pts = measure.points
-    if mode == "max-norm":
+    if clip is None:
         top = float(np.linalg.norm(pts, axis=1).max())
         if top == 0.0:
             raise DataError("all rows are zero; max-norm scale undefined")
         out = pts / (2.0 * top)
-    elif mode == "clip":
-        if clip is None or not 0 < clip <= MAX_CLIP:
-            raise DataError(f"clip mode needs a finite positive radius C with 2C finite, got {clip}")
+    elif not 0 < clip <= MAX_CLIP:
+        raise DataError(f"clip needs a finite positive radius C with 2C finite, got {clip}")
+    else:
         norms = np.linalg.norm(pts, axis=1)
         factor = np.minimum(1.0, clip / np.maximum(norms, 1e-300))
         out = pts * factor[:, None]
         out /= 2.0 * clip
-    else:
-        raise DataError(f"unknown normalization mode: {mode!r}")
     out.setflags(write=False)  # the measure adopts the fresh array
     return EmpiricalMeasure(out, measure.weights)
 

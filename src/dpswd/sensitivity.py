@@ -100,7 +100,7 @@ def bernstein_bound(k: int, d: int, delta: float) -> SensitivityBound:
     _check_bound_args(k, d, delta)
     log_term = math.log(1.0 / delta)
     w = k / d + (2.0 / 3.0) * log_term + (2.0 / d) * math.sqrt(k * (d - 1) / (d + 2) * log_term)
-    return SensitivityBound(w=w, kind="bernstein", delta=delta)
+    return _tail_bound(w, "bernstein", k, d, delta)
 
 
 def clt_bound(k: int, d: int, delta: float) -> SensitivityBound:
@@ -120,7 +120,15 @@ def clt_bound(k: int, d: int, delta: float) -> SensitivityBound:
     # z_{1-delta} = -Phi^{-1}(delta) by symmetry; 1 - delta rounds to 1.0 below about 1.1e-16
     z = -inverse_normal_cdf(delta)
     w = k / d + (z / d) * math.sqrt(2.0 * k * (d - 1) / (d + 2))
-    return SensitivityBound(w=w, kind="clt", delta=delta)
+    return _tail_bound(w, "clt", k, d, delta)
+
+
+def _tail_bound(w: float, kind: str, k: int, d: int, delta: float) -> SensitivityBound:
+    """The bound, or a ValueError naming k and d when they overflow w though each is in range."""
+    if not math.isfinite(w):
+        raise ValueError(f"the {kind} sensitivity bound w overflows float64 at "
+                         f"k={_count_text(k)}, d={_count_text(d)}")
+    return SensitivityBound(w=w, kind=kind, delta=delta)
 
 
 # The probabilistic bounds by kind: each holds with probability >= 1 - delta
@@ -153,7 +161,12 @@ def _check_count(name: str, value: int, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     if minimum > -math.inf and value > sys.float_info.max:
         raise ValueError(f"{name} must be at most {sys.float_info.max:.6g}, float64's largest "
-                         f"value, got about 10^{math.log10(value):.1f}")
+                         f"value, got {_count_text(value)}")
+
+
+def _count_text(value: int) -> str:
+    """A count as written, or as about 10^N from 10^15 on, so a 300-digit count reads short."""
+    return str(value) if value < 10**15 else f"about 10^{math.log10(value):.1f}"
 
 
 def _check_bound_args(k: int, d: int, delta: float) -> None:

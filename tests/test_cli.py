@@ -9,7 +9,6 @@ import re
 import shlex
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -522,6 +521,13 @@ class TestCalibrateCmd:
         assert f"error: {field} must be at most 1.79769e+308" in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_counts_that_overflow_w_are_named(self):
+        r = run_cli("calibrate", "--eps", "10", "--delta", "1e-5", "--dim", "2", "--k", str(10**308),
+                    "--n", "1000", "--epochs", "1", "--batch", "100")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == "error: the bernstein sensitivity bound w overflows float64 at k=about 10^308.0, d=2\n"
+
     def test_budget_met_at_bracket_floor_is_clamped(self):
         # sigma = 1e-3 already meets eps = 1e13; the floor is reported, not searched below
         r = run_cli("calibrate", "--eps", "1e13", "--delta", "1e-5", "--dim", "784",
@@ -550,14 +556,9 @@ def finite_numbers(value) -> bool:
 
 
 def run_in_process(argv: list[str]) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of cli.main; argparse's refusals exit by SystemExit.
-
-    Warnings are shown as in a plain python process, not raised as under
-    this suite's error filter, so main reports them on stderr.
-    """
+    """(exit code, stdout, stderr) of cli.main; argparse's refusals exit by SystemExit."""
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("default")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
@@ -902,15 +903,38 @@ def test_memory_error_is_data_error_without_traceback(data_dir, monkeypatch, cap
     assert "Traceback" not in captured.err
 
 
+# a clt calibration below the bound's k > 30 rule of thumb, which warns
+SMALL_K_CLT_CALIBRATE = ["calibrate", "--eps", "5", "--delta", "1e-5", "--dim", "100", "--k", "10",
+                         "--n", "2000", "--epochs", "2", "--batch", "200", "--bound", "clt"]
+SMALL_K_WARNING = "warning: clt_bound with k=10 < 30: the normal approximation is unreliable\n"
+
+
 @pytest.mark.parametrize("argv_fn", [
     lambda o: ["sensitivity", "--d", "50", "--k", "10", "--trials", "100", "--out", str(o)],
-    lambda o: ["calibrate", "--eps", "5", "--delta", "1e-5", "--dim", "100", "--k", "10",
-               "--n", "2000", "--epochs", "2", "--batch", "200", "--bound", "clt"],
+    lambda o: SMALL_K_CLT_CALIBRATE,
 ], ids=["sensitivity", "calibrate"])
 def test_warning_is_one_line(tmp_path, argv_fn):
     r = run_cli(*argv_fn(tmp_path / "s"))
     assert r.returncode == 0
-    assert r.stderr == "warning: clt_bound with k=10 < 30: the normal approximation is unreliable\n"
+    assert r.stderr == SMALL_K_WARNING
+
+
+def test_warning_is_recorded_under_an_error_filter():
+    # python -W error turns a warning into an exception unless main overrides the filter
+    strict = subprocess.run([sys.executable, "-W", "error", "-m", "dpswd.cli", *SMALL_K_CLT_CALIBRATE],
+                            capture_output=True, text=True)
+    plain = run_cli(*SMALL_K_CLT_CALIBRATE)
+    assert strict.returncode == plain.returncode == 0
+    assert strip_duration(strict.stdout) == strip_duration(plain.stdout)
+    assert strict.stderr == plain.stderr == SMALL_K_WARNING
+
+
+def test_warning_is_recorded_in_process_under_the_suite_error_filter(capsys):
+    # this suite runs with filterwarnings = error, which main must not raise under
+    assert cli.main(SMALL_K_CLT_CALIBRATE) == 0
+    captured = capsys.readouterr()
+    assert captured.err == SMALL_K_WARNING
+    validate(json.loads(captured.out), "calibrate.schema.json")
 
 
 class TestDeterminism:

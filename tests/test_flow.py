@@ -263,7 +263,7 @@ class TestRunFlow:
         # (k, n) release arrays; the inputs exist before tracing starts
         n, d, k = 2000, 200, 50
         src = cloud(n, d, 33, shift=1.0)
-        tgt = normalize_for_privacy(cloud(n, d, 34), mode="clip", clip=30.0)
+        tgt = normalize_for_privacy(cloud(n, d, 34), clip=30.0)
         cfg = FlowConfig(iterations=3, learning_rate=1.0, k=k, sigma=0.5, seed=35)
         tracemalloc.start()
         try:

@@ -77,8 +77,8 @@ class TestOwnership:
         (tmp_path / "d.csv").write_text("3,4\n0,1\n")
         loaded = ms.load_csv(tmp_path / "d.csv")
         assert loaded.points.flags.owndata and not loaded.points.flags.writeable
-        for mode, clip in (("max-norm", None), ("clip", 2.0)):
-            out = ms.normalize_for_privacy(loaded, mode=mode, clip=clip)
+        for clip in (None, 2.0):
+            out = ms.normalize_for_privacy(loaded, clip=clip)
             assert out.points.flags.owndata and not out.points.flags.writeable
             assert not np.shares_memory(out.points, loaded.points)
 
@@ -89,7 +89,7 @@ class TestOwnership:
         ms.save_csv(ms.from_points(rng.standard_normal((n, d))), tmp_path / "big.csv")
         tracemalloc.start()
         try:
-            ms.normalize_for_privacy(ms.load_csv(tmp_path / "big.csv"), mode="clip", clip=30.0)
+            ms.normalize_for_privacy(ms.load_csv(tmp_path / "big.csv"), clip=30.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -275,27 +275,27 @@ class TestWriteCsvRows:
 class TestNormalizeForPrivacy:
     def test_max_norm_example(self):
         m = ms.from_points([[3.0, 4.0], [0.0, 1.0]])
-        out = ms.normalize_for_privacy(m, mode="max-norm")
+        out = ms.normalize_for_privacy(m)
         assert np.allclose(out.points, [[0.3, 0.4], [0.0, 0.1]], atol=1e-15)
         assert np.linalg.norm(out.points, axis=1).max() == pytest.approx(0.5)
 
     def test_clip_example(self):
         m = ms.from_points([[1.0, 0.0]])
-        out = ms.normalize_for_privacy(m, mode="clip", clip=1.0)
+        out = ms.normalize_for_privacy(m, clip=1.0)
         assert np.allclose(out.points, [[0.5, 0.0]], atol=1e-15)
 
     def test_clip_shrinks_long_rows_only(self):
         m = ms.from_points([[10.0, 0.0], [0.5, 0.0]])
-        out = ms.normalize_for_privacy(m, mode="clip", clip=2.0)
+        out = ms.normalize_for_privacy(m, clip=2.0)
         assert np.allclose(out.points[0], [0.5, 0.0])  # clipped to radius C then /2C
         assert np.allclose(out.points[1], [0.125, 0.0])  # only rescaled by 1/2C
 
     def test_pairwise_differences_bounded(self):
         rng = np.random.default_rng(7)
-        for mode, clip in (("max-norm", None), ("clip", 1.3)):
+        for clip in (None, 1.3):
             for _ in range(20):
                 m = ms.from_points(rng.standard_normal((20, 5)) * 3)
-                out = ms.normalize_for_privacy(m, mode=mode, clip=clip)
+                out = ms.normalize_for_privacy(m, clip=clip)
                 pts = out.points
                 gram = pts @ pts.T
                 sq = np.diag(gram)[:, None] + np.diag(gram)[None, :] - 2 * gram
@@ -304,25 +304,25 @@ class TestNormalizeForPrivacy:
     def test_all_zero_rows_rejected(self):
         m = ms.from_points([[0.0, 0.0]])
         with pytest.raises(ms.DataError):
-            ms.normalize_for_privacy(m, mode="max-norm")
+            ms.normalize_for_privacy(m)
 
     def test_bad_clip_rejected(self):
         m = ms.from_points([[1.0]])
         with pytest.raises(ms.DataError):
-            ms.normalize_for_privacy(m, mode="clip", clip=0.0)
+            ms.normalize_for_privacy(m, clip=0.0)
         with pytest.raises(ms.DataError):
-            ms.normalize_for_privacy(m, mode="clip", clip=-1.0)
+            ms.normalize_for_privacy(m, clip=-1.0)
         for radius in (float("inf"), float("nan")):
             with pytest.raises(ms.DataError, match="finite positive radius"):
-                ms.normalize_for_privacy(m, mode="clip", clip=radius)
+                ms.normalize_for_privacy(m, clip=radius)
 
     def test_clip_whose_double_overflows_rejected(self):
         # 2C = inf would scale every row to 0
         m = ms.from_points([[1.0]])
         for radius in (1e308, np.nextafter(ms.MAX_CLIP, np.inf)):
             with pytest.raises(ms.DataError, match="with 2C finite"):
-                ms.normalize_for_privacy(m, mode="clip", clip=radius)
-        out = ms.normalize_for_privacy(m, mode="clip", clip=ms.MAX_CLIP)
+                ms.normalize_for_privacy(m, clip=radius)
+        out = ms.normalize_for_privacy(m, clip=ms.MAX_CLIP)
         assert out.points[0, 0] == 0.5 / ms.MAX_CLIP > 0
 
     def test_check_guard(self):

@@ -163,6 +163,12 @@ class TestBernsteinBound:
         with pytest.raises(ValueError, match=f"^{name} must be at most 1.79769e\\+308"):
             bound(k, d, 0.1)
 
+    @pytest.mark.parametrize("bound", [sens.bernstein_bound, sens.clt_bound])
+    def test_counts_that_overflow_w_are_named(self, bound):
+        # k and d are each within float64's range, but the product under the root is not
+        with pytest.raises(ValueError, match=r"overflows float64 at k=about 10\^308\.0, d=2$"):
+            bound(10**308, 2, 1e-5)
+
 
 class TestCheckCount:
     def test_counts_end_at_float64_max_and_seeds_do_not(self):

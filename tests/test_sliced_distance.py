@@ -281,8 +281,8 @@ class TestDpSwd:
             dp_swd(ok, raw, SwdConfig(k=8, sigma=1.0, seed=2))
 
     def test_rejects_weighted_private_side(self):
-        a = normalize_for_privacy(gaussian_cloud(50, 4, 3), "clip", clip=4.0)
-        b = normalize_for_privacy(gaussian_cloud(50, 4, 4), "clip", clip=4.0)
+        a = normalize_for_privacy(gaussian_cloud(50, 4, 3), clip=4.0)
+        b = normalize_for_privacy(gaussian_cloud(50, 4, 4), clip=4.0)
         cfg = SwdConfig(k=20, sigma=1.0, seed=3)
         heavy = np.ones(50)
         heavy[0] = 49.0  # one record holds 49/98 of the mass, and no noise hides it
