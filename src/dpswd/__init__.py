@@ -6,7 +6,7 @@ Renyi-DP accountant with noise calibration, and a particle-flow demo that
 trains against a private target.
 """
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"
 
 from .accountant import (
     CalibrationResult,
@@ -28,6 +28,7 @@ from .measures import (
     EmpiricalMeasure,
     from_points,
     load_csv,
+    load_csv_pair,
     normalize_for_privacy,
     save_csv,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "gaussian_rdp",
     "inverse_normal_cdf",
     "load_csv",
+    "load_csv_pair",
     "normalize_for_privacy",
     "per_row_costs",
     "rdp_to_dp",

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .accountant import InfeasibleBudgetError, PrivacyBudget, calibrate_sigma
 from .flow import FlowConfig, FlowDiverged, run_flow
-from .measures import DataError, load_csv, normalize_for_privacy, save_csv, write_csv_rows
+from .measures import DataError, load_csv_pair, normalize_for_privacy, save_csv, write_csv_rows
 from .measures import MAX_CLIP, EmpiricalMeasure
 from .randomness import PURPOSE_DATA, derive_seed, substream
 from .sensitivity import TAIL_BOUNDS, _check_count, check_delta, simulate_sensitivity, summarize_simulation
@@ -102,17 +102,17 @@ def _parse_normalize(text: str) -> float | None:
     raise argparse.ArgumentTypeError(f"normalize must be 'max' or 'clip:C', got {text!r}")
 
 
-def _input_loader(args) -> Callable[[str], EmpiricalMeasure]:
-    """Load-and-normalize for one CSV; its usage errors are raised here, before any read."""
+def _input_loader(args) -> Callable[[str, str], tuple[EmpiricalMeasure, EmpiricalMeasure]]:
+    """Load-and-normalize for the two CSVs; its usage errors are raised here, before any read."""
     if args.sigma > 0 and args.normalize is None:
         raise argparse.ArgumentTypeError(
             "--sigma > 0 requires --normalize: the private mechanism assumes "
             "privacy-normalized inputs (row norms <= 1/2)"
         )
-    if args.normalize is None:
-        return lambda path: load_csv(path, has_header=args.header)
-    clip = _parse_normalize(args.normalize)
-    return lambda path: normalize_for_privacy(load_csv(path, has_header=args.header), clip=clip)
+    prepare = None
+    if args.normalize is not None:
+        prepare = functools.partial(normalize_for_privacy, clip=_parse_normalize(args.normalize))
+    return functools.partial(load_csv_pair, has_header=args.header, prepare=prepare)
 
 
 def _require_counts(args, *names) -> None:
@@ -149,7 +149,7 @@ def _emit(payload: dict) -> None:
 def cmd_compute(args) -> dict:
     cfg = SwdConfig(k=args.k, q=args.q, seed=args.seed, sigma=args.sigma)
     load = _input_loader(args)
-    a, b = load(args.a), load(args.b)
+    a, b = load(args.a, args.b)
     if args.sigma > 0:
         result = dp_swd(a, b, cfg)
     else:
@@ -269,7 +269,7 @@ def cmd_flow(args) -> dict:
     )
     load = _input_loader(args)
     out = _output_dir(args.out)
-    source, target = load(args.source), load(args.target)
+    source, target = load(args.source, args.target)
     try:
         trace = run_flow(source, target, cfg)
     except FlowDiverged as exc:

@@ -10,14 +10,32 @@ bounds.
 from __future__ import annotations
 
 import csv
+import os
+import shutil
+import signal
+import sys
+import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 _UNIFORM_TOL = 1e-12  # is_uniform: largest |weight - 1/n| still taken as uniform
 _NORM_TOL = 1e-9  # check_privacy_normalized: slack above the row-norm cap 1/2
 MAX_CLIP = float(np.finfo(np.float64).max) / 2  # normalize_for_privacy: the largest C whose 2C is finite
+# _fork_share starts a child only on Linux; elsewhere its share runs in the caller
+_FORK_SHARES = sys.platform == "linux"
+# nor for a share under 1 MiB (the file to parse, or the float64 rows to
+# format): a child costs 3-5 ms to start and reap beside a 70 MB parent,
+# which is all it saved on a 700 KiB file to parse (2 vCPU); formatting
+# breaks even sooner, at 50 KiB of rows
+_FORK_MIN_BYTES = 1 << 20
+# Python >= 3.12 warns at a fork of a process with more than one OS thread,
+# which OpenBLAS's thread pool always makes true here
+_FORK_WARNING = (r"This process \(pid=\d+\) is multi-threaded, "
+                 r"use of fork\(\) may lead to deadlocks in the child")
 
 
 class DataError(ValueError):
@@ -96,6 +114,7 @@ def load_csv(path, has_header: bool = False) -> EmpiricalMeasure:
     rejects (ragged rows, bad cells, quoting) and input with no data rows go
     to the per-cell scan, which names the failing line and column or, for
     cells that only Python's ``float`` accepts, returns the same array.
+    ``load_csv_pair`` reads two files this way on two cores.
     """
     path = Path(path)
     points = _bulk_parse(path, has_header)
@@ -103,6 +122,122 @@ def load_csv(path, has_header: bool = False) -> EmpiricalMeasure:
         points = _scan_csv(path, has_header)
     points.setflags(write=False)  # the measure adopts the fresh array
     return EmpiricalMeasure(points)
+
+
+def load_csv_pair(first, second, has_header: bool = False,
+                  prepare: Callable[[EmpiricalMeasure], EmpiricalMeasure] | None = None,
+                  ) -> tuple[EmpiricalMeasure, EmpiricalMeasure]:
+    """``load_csv`` of both paths, each passed through ``prepare`` if given.
+
+    The result, the errors and their order are those of loading and
+    preparing ``first``, then ``second``: when both fail, the first one's
+    error is raised. On Linux a forked child (see ``_fork_share``) parses
+    ``second`` with numpy's reader while this process loads ``first``, and
+    sends back the array's shape and raw float64 bytes. Where the child
+    cannot run, fails, or leaves the file to the per-cell scan, ``second``
+    is loaded here, so its errors come from ``load_csv``.
+    """
+    second = Path(second)
+
+    def send(pipe: BinaryIO) -> None:
+        points = _bulk_parse(second, has_header)
+        if points is not None:  # else the stream stays short and the scan runs here
+            pipe.write(np.array(points.shape, dtype=np.int64).data)
+            pipe.write(points.data)
+
+    try:
+        size = second.stat().st_size
+    except OSError:  # reported by the serial load, after the first input's errors
+        size = 0
+    # the second array is received before the first is prepared: freeing the
+    # first's parsed array first would leave the second in a heap hole that
+    # the allocator does not return (+12 MB peak on a 5000x784 flow)
+    a, points = _fork_share(send, lambda: load_csv(first, has_header), _receive_points, size)
+    if prepare:
+        a = prepare(a)
+    if points is None:
+        b = load_csv(second, has_header)
+    else:
+        points.setflags(write=False)  # the measure adopts the fresh array
+        b = EmpiricalMeasure(points)
+    return a, prepare(b) if prepare else b
+
+
+def _receive_points(pipe: BinaryIO) -> np.ndarray | None:
+    """The array ``load_csv_pair``'s child sent, read in place, or None if the stream is short."""
+    shape = np.zeros(2, dtype=np.int64)
+    if not _read_into(pipe, shape):
+        return None
+    points = np.empty(tuple(shape.tolist()))
+    return points if _read_into(pipe, points) else None
+
+
+def _read_into(pipe: BinaryIO, array: np.ndarray) -> bool:
+    """Fill the array's bytes from the pipe; False if it ends first."""
+    view = memoryview(array).cast("B")
+    filled = 0
+    while filled < len(view):
+        count = pipe.readinto(view[filled:])
+        if not count:
+            return False
+        filled += count
+    return True
+
+
+def _fork_share(child_job: Callable[[BinaryIO], None], parent_job: Callable[[], object],
+                receive: Callable[[BinaryIO], object], share_bytes: int) -> tuple[object, object]:
+    """``(parent_job(), receive(pipe))``, while a forked child runs ``child_job(pipe)``.
+
+    The child writes its share of a CSV job to a pipe while this process runs
+    ``parent_job``; ``receive`` then reads the share from the pipe and returns
+    None if the stream is short. The second element is None when no child
+    was started (not Linux, a share of fewer than ``_FORK_MIN_BYTES``, or
+    ``os.pipe`` or ``os.fork`` failed), when the child exits non-zero, or
+    when ``receive`` returns None: the caller then does the share itself, so
+    every error comes from the serial code.
+
+    The child never returns into the caller's stack: it ends in ``os._exit``,
+    so no atexit handler or buffered stream of the parent runs twice. It is
+    reaped on every path, and killed first if ``parent_job`` or ``receive``
+    raises.
+    """
+    if not _FORK_SHARES or share_bytes < _FORK_MIN_BYTES:
+        return parent_job(), None
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return parent_job(), None
+    try:
+        # Forking a process with other threads is safe here: the child runs
+        # only child_job, which imports nothing, makes no BLAS call and takes
+        # no lock that another thread could hold, and then leaves by _exit.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return parent_job(), None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                child_job(pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb", buffering=0) as pipe:
+            mine = parent_job()
+            theirs = receive(pipe)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return mine, (theirs if status == 0 else None)
 
 
 def _bulk_parse(path: Path, has_header: bool) -> np.ndarray | None:
@@ -163,12 +298,47 @@ def write_csv_rows(path, rows, header=None) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        fh.writelines(_csv_text(rows))
+
+
+def _csv_text(rows):
+    """One line of text per row of numbers, each cell its ``str``."""
+    return (",".join(map(str, row)) + "\n" for row in rows)
+
+
+def _csv_lines(points: np.ndarray):
+    """``_csv_text`` of a float array's rows, as bytes."""
+    return (line.encode() for line in _csv_text(row.tolist() for row in points))
 
 
 def save_csv(measure: EmpiricalMeasure, path) -> None:
-    """Write support points as CSV with full round-trip precision."""
-    write_csv_rows(path, (row.tolist() for row in measure.points))
+    """Write support points as CSV with full round-trip precision.
+
+    The bytes are those of ``write_csv_rows`` over the rows as lists. On
+    Linux a forked child (see ``_fork_share``) formats rows ``[n//2:]`` while
+    this process writes rows ``[:n//2]``, one at a time, and then copies the
+    child's text after them. Without a child, or when it fails, rows
+    ``[n//2:]`` are written here instead.
+    """
+    points = measure.points
+    half = len(points) // 2
+    with open(path, "wb") as fh:
+        def write_first_half() -> int:
+            fh.writelines(_csv_lines(points[:half]))
+            return fh.tell()
+
+        def copy(pipe: BinaryIO) -> bool:
+            shutil.copyfileobj(pipe, fh)
+            return True
+
+        # the child formats all its rows before it writes: the pipe holds
+        # only 64 KiB until this process has written its own half
+        mark, copied = _fork_share(lambda pipe: pipe.writelines(list(_csv_lines(points[half:]))),
+                                   write_first_half, copy, points[half:].nbytes)
+        if copied is None:
+            fh.seek(mark)
+            fh.truncate()
+            fh.writelines(_csv_lines(points[half:]))
 
 
 def normalize_for_privacy(measure: EmpiricalMeasure, clip: float | None = None) -> EmpiricalMeasure:

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 from jsonschema import Draft7Validator, ValidationError
 
 import dpswd
-from dpswd import cli, sliced_distance
+from dpswd import cli, measures, sliced_distance
 from dpswd.cli import GRID_MAX_POINTS, _parse_grid, build_parser
 from dpswd.sensitivity import simulate_sensitivity, summarize_simulation
 
@@ -871,9 +872,9 @@ class TestOutputDirectory:
 
     def test_flow_without_delta_share_reads_nothing(self, data_dir, tmp_path, monkeypatch, capsys):
         def never_read(*args, **kwargs):
-            raise AssertionError("load_csv ran although the arguments are unusable")
+            raise AssertionError("load_csv_pair ran although the arguments are unusable")
 
-        monkeypatch.setattr(cli, "load_csv", never_read)
+        monkeypatch.setattr(cli, "load_csv_pair", never_read)
         out = tmp_path / "out"
         argv = ["flow", "--source", str(data_dir / "src2d.csv"), "--target", str(data_dir / "tgt2d.csv"),
                 "--iters", "5", "--lr", "0.1", "--sigma", "1", "--normalize", "clip:8",
@@ -882,6 +883,20 @@ class TestOutputDirectory:
         assert capsys.readouterr().err == (
             "error: a bernstein bound needs a share of delta: delta_split must be > 0\n")
         assert not out.exists()
+
+    def test_compute_private_without_normalize_reads_nothing(self, data_dir, monkeypatch, capsys):
+        def never_read(*args, **kwargs):
+            raise AssertionError("load_csv_pair ran although the arguments are unusable")
+
+        monkeypatch.setattr(cli, "load_csv_pair", never_read)
+        argv = ["compute", "--a", str(data_dir / "a.csv"), "--b", str(data_dir / "b.csv"),
+                "--k", "8", "--sigma", "1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --sigma > 0 requires --normalize: the private mechanism assumes "
+            "privacy-normalized inputs (row norms <= 1/2)\n")
 
 
 @pytest.mark.parametrize("error, message", [
@@ -1088,3 +1103,79 @@ def test_calibrate_schema_enums_are_parser_choices():
                for action in subcommand_parser(build_parser(), "calibrate")._actions}
     assert list(choices["amplification"]) == schema["amplification"]["enum"]
     assert list(choices["bound"]) == schema["bound_kind"]["enum"]
+
+
+class TestTwoCoreInputs:
+    """compute and flow load their second input in a forked child (Linux)."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        # children for inputs of any size; the list collects their pids
+        if not measures._FORK_SHARES:
+            pytest.skip("child shares run on Linux only")
+        monkeypatch.setattr(measures, "_FORK_MIN_BYTES", 0)
+        pids = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def argv(subcommand, first, second, out):
+        if subcommand == "compute":
+            return ["compute", "--a", str(first), "--b", str(second), "--k", "8"]
+        return ["flow", "--source", str(first), "--target", str(second), "--iters", "3",
+                "--lr", "0.5", "--k", "8", "--out", str(out)]
+
+    @pytest.mark.parametrize("subcommand", ["compute", "flow"])
+    def test_success_leaves_no_child(self, data_dir, tmp_path, capsys, forks, subcommand):
+        argv = self.argv(subcommand, data_dir / "src2d.csv", data_dir / "tgt2d.csv", tmp_path / "o")
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert len(forks) == (2 if subcommand == "flow" else 1)  # flow also saves particles.csv
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("subcommand", ["compute", "flow"])
+    @pytest.mark.parametrize("second", ["ragged.csv", "missing.csv"])
+    def test_bad_second_input_reads_as_load_csv_alone(self, data_dir, tmp_path, capsys, forks,
+                                                       subcommand, second):
+        with pytest.raises((measures.DataError, OSError)) as alone:
+            measures.load_csv(data_dir / second)
+        argv = self.argv(subcommand, data_dir / "src2d.csv", data_dir / second, tmp_path / "o")
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {alone.value}\n"
+        assert len(forks) == 1
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("first, second, message", [
+        ("ragged.csv", "missing.csv", "ragged row at line 2"),
+        ("zeros.csv", "ragged.csv", "all rows are zero; max-norm scale undefined"),
+    ])
+    def test_first_input_error_wins(self, data_dir, tmp_path, capsys, forks, first, second, message):
+        (tmp_path / "zeros.csv").write_text("0,0\n0,0\n")
+        paths = {name: (tmp_path if name == "zeros.csv" else data_dir) / name for name in (first, second)}
+        argv = self.argv("compute", paths[first], paths[second], None) + ["--normalize", "max"]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        self.assert_no_child()
+
+    def test_diverging_flow_leaves_no_child(self, data_dir, tmp_path, capsys, forks):
+        argv = ["flow", "--source", str(data_dir / "src2d.csv"), "--target", str(data_dir / "tgt2d.csv"),
+                "--iters", "200", "--lr", "500", "--k", "8", "--seed", "4", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 5
+        assert "reduce the learning rate" in capsys.readouterr().err
+        assert len(forks) == 1
+        self.assert_no_child()

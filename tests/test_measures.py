@@ -1,5 +1,8 @@
 import csv
+import os
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -331,3 +334,203 @@ class TestNormalizeForPrivacy:
         bad = ms.from_points([[0.6, 0.0]])
         with pytest.raises(ms.DataError, match="not privacy-normalized"):
             ms.check_privacy_normalized(bad)
+
+
+# cells whose shortest repr takes a sign, an exponent, a subnormal or the largest float
+SPECIAL = [-0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308]
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Child shares at any size."""
+    if not ms._FORK_SHARES:
+        pytest.skip("child shares run on Linux only")
+    monkeypatch.setattr(ms, "_FORK_MIN_BYTES", 0)
+
+
+@pytest.fixture
+def forks(monkeypatch, forking):
+    """Child shares at any size; the pids forked, as the parent saw them."""
+    return _fork_with(monkeypatch, lambda: None)
+
+
+def _fork_with(monkeypatch, in_child):
+    """Patch os.fork to run in_child() in each child; returns the parent's list of pids."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid == 0:
+            in_child()
+        else:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _special_points(n, d, seed=5):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-9, 9, (n, 1))
+    flat = pts.reshape(-1)
+    k = min(len(SPECIAL), flat.size)
+    flat[:k] = SPECIAL[:k]
+    flat[flat.size - k:] = SPECIAL[:k]
+    return pts
+
+
+class TestForkShares:
+    """save_csv's rows [n//2:] and load_csv_pair's second file go to a forked child."""
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["child", "inline"])
+    @pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3, 1000) for d in (1, 784)])
+    def test_save_csv_bytes_match_serial_writer(self, tmp_path, monkeypatch, forks, forked, n, d):
+        if not forked:
+            monkeypatch.setattr(ms, "_FORK_SHARES", False)
+        m = ms.from_points(_special_points(n, d))
+        ms.save_csv(m, tmp_path / "new.csv")
+        ms.write_csv_rows(tmp_path / "ref.csv", (row.tolist() for row in m.points))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert len(forks) == forked
+        assert_no_child()
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["child", "inline"])
+    @pytest.mark.parametrize("has_header", [False, True])
+    def test_load_csv_pair_matches_load_csv(self, tmp_path, monkeypatch, forks, forked, has_header):
+        if not forked:
+            monkeypatch.setattr(ms, "_FORK_SHARES", False)
+        header = "x,y,z\n" if has_header else ""
+        ms.write_csv_rows(tmp_path / "b.csv", _special_points(7, 3).tolist())
+        ms.write_csv_rows(tmp_path / "c.csv", np.random.default_rng(6).standard_normal((5, 3)).tolist())
+        for path in (tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"):
+            path.write_text(header + (path.read_text() if path.exists() else "3,4,0\n0,1,2\n"))
+        prepare = lambda m: ms.normalize_for_privacy(m, clip=2.0)  # noqa: E731
+        for first, second, how in (("a.csv", "b.csv", None), ("a.csv", "c.csv", prepare)):
+            got = ms.load_csv_pair(tmp_path / first, tmp_path / second, has_header, how)
+            for measure, path in zip(got, (first, second)):
+                want = ms.load_csv(tmp_path / path, has_header)
+                want = how(want) if how else want
+                assert measure.points.shape == want.points.shape
+                assert measure.points.tobytes() == want.points.tobytes()
+                assert measure.points.flags.owndata and not measure.points.flags.writeable
+        assert len(forks) == 2 * forked
+        assert_no_child()
+
+    def test_shares_below_the_minimum_stay_inline(self, tmp_path, monkeypatch):
+        pids = _fork_with(monkeypatch, lambda: None)
+        small = ms.from_points(np.ones((4, 3)))
+        ms.save_csv(small, tmp_path / "small.csv")
+        ms.load_csv_pair(tmp_path / "small.csv", tmp_path / "small.csv")
+        assert pids == []
+
+    @pytest.mark.parametrize("fails", ["pipe", "fork"])
+    def test_no_child_when_pipe_or_fork_fails(self, tmp_path, monkeypatch, forks, fails):
+        def refuse():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, fails, refuse)
+        m = ms.from_points(_special_points(5, 4))
+        ms.save_csv(m, tmp_path / "new.csv")
+        ms.write_csv_rows(tmp_path / "ref.csv", (row.tolist() for row in m.points))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        a, b = ms.load_csv_pair(tmp_path / "ref.csv", tmp_path / "new.csv")
+        assert a.points.tolist() == b.points.tolist() == m.points.tolist()
+
+    def test_failed_writer_child_is_redone_here(self, tmp_path, monkeypatch, forking):
+        # the child's text reaches the file before it fails: the rows are rewritten
+        def in_child():
+            ms._csv_lines = lambda rows: [b"junk from a failing child\n" * 100, None]
+
+        pids = _fork_with(monkeypatch, in_child)
+        m = ms.from_points(_special_points(6, 3))
+        ms.save_csv(m, tmp_path / "new.csv")
+        ms.write_csv_rows(tmp_path / "ref.csv", (row.tolist() for row in m.points))
+        assert len(pids) == 1
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert_no_child()
+
+    def test_child_shares_are_what_the_parent_uses(self, tmp_path, monkeypatch, forking):
+        # the child's array and text are marked, so each must reach the result
+        def in_child():
+            ms._bulk_parse = lambda path, has_header: np.full((2, 3), 7.0)
+            ms._csv_lines = lambda rows: [b"from the child\n"]
+
+        pids = _fork_with(monkeypatch, in_child)
+        ms.save_csv(ms.from_points([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == b"1.0,2.0,3.0\nfrom the child\n"
+        (tmp_path / "ok.csv").write_text("1,2,3\n")
+        a, b = ms.load_csv_pair(tmp_path / "ok.csv", tmp_path / "ok.csv")
+        assert a.points.tolist() == [[1.0, 2.0, 3.0]]
+        assert b.points.tolist() == [[7.0] * 3] * 2
+        assert len(pids) == 2
+
+    @pytest.mark.parametrize("fault", ["short", "exit-code"])
+    def test_failed_reader_child_is_redone_here(self, tmp_path, monkeypatch, forking, fault):
+        real_exit = os._exit
+
+        def in_child():
+            if fault == "short":  # ends cleanly without sending anything
+                ms._bulk_parse = lambda path, has_header: real_exit(0)
+            else:  # sends a whole, wrong array, then exits non-zero
+                ms._bulk_parse = lambda path, has_header: np.zeros((2, 2))
+                os._exit = lambda code: real_exit(7)
+
+        pids = _fork_with(monkeypatch, in_child)
+        ms.write_csv_rows(tmp_path / "b.csv", _special_points(5, 4).tolist())
+        a, b = ms.load_csv_pair(tmp_path / "b.csv", tmp_path / "b.csv")
+        assert len(pids) == 1
+        assert b.points.tolist() == a.points.tolist() == ms.load_csv(tmp_path / "b.csv").points.tolist()
+        assert_no_child()
+
+    @pytest.mark.parametrize("first, second, error", [
+        ("ok.csv", "ragged.csv", "ragged row at line 2"),
+        ("ok.csv", "missing.csv", "No such file or directory"),
+        ("ragged.csv", "missing.csv", "ragged row at line 2"),
+        ("zeros.csv", "ragged.csv", "all rows are zero"),
+    ])
+    def test_errors_come_from_the_serial_load_first_input_first(self, tmp_path, forks, first, second, error):
+        (tmp_path / "ok.csv").write_text("1,2\n3,4\n")
+        (tmp_path / "ragged.csv").write_text("1,2\n3\n")
+        (tmp_path / "zeros.csv").write_text("0,0\n0,0\n")
+        prepare = lambda m: ms.normalize_for_privacy(m, clip=None)  # noqa: E731
+        with pytest.raises((ms.DataError, OSError)) as got:
+            ms.load_csv_pair(tmp_path / first, tmp_path / second, prepare=prepare)
+        with pytest.raises((ms.DataError, OSError)) as serial:
+            for name in (first, second):
+                prepare(ms.load_csv(tmp_path / name))
+        assert error in str(got.value)
+        assert type(got.value) is type(serial.value) and str(got.value) == str(serial.value)
+        assert_no_child()
+
+    def test_fork_warning_with_threads_is_not_recorded(self, tmp_path, monkeypatch, forking):
+        # Python >= 3.12 warns at a fork of a multi-threaded process; the
+        # patched fork issues that warning on any version
+        real_fork = os.fork
+
+        def warning_fork():
+            pid = real_fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                              "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                ms.save_csv(ms.from_points(_special_points(4, 3)), tmp_path / "new.csv")
+        finally:
+            stop.set()
+            thread.join()
+        assert caught == []
+        assert_no_child()
